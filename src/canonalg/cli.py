@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = every asserted property held, 1 = a falsification or
-counterexample was found (the witness is in the report), 2 = invalid input.
+counterexample was found (the witness is in the report), 2 = invalid input,
+3 = internal error (a bug, never a verdict; one ``internal error:`` line on
+stderr and no report).
 A machine-readable report can be written with ``--json``; identical inputs
 and seeds produce byte-identical reports.
 """
@@ -93,7 +95,7 @@ def _weyl_endo_from_file(ef) -> WeylEndo:
     return WeylEndo(ef.weyl_algebra(), list(ef.images))
 
 
-def _poly_texts(images, names) -> list[str]:
+def _image_texts(images, names) -> list[str]:
     return [im.to_text(names) for im in images]
 
 
@@ -149,7 +151,7 @@ def _run_reduce(args):
     payload = {
         "ring": str(ef.ring),
         "n": ef.n,
-        "center_images": _poly_texts(sym.center.endo.images, names),
+        "center_images": _image_texts(sym.center.endo.images, names),
         "degree": {
             "endomorphism": degrees.deg_endo,
             "center": degrees.deg_center,
@@ -164,15 +166,19 @@ def _run_reduce(args):
 def _run_invert(args):
     text, raw = _load_file(args)
     ef = parse_endo_file(text)
-    if ef.kind == "weyl":
+    if args.command == "invert-weyl":
+        endo = _weyl_endo_from_file(ef)
+        bound, search, decide = inverse_degree_bound(endo), inverse_search, decide_weyl_automorphism
+    elif ef.kind == "weyl":
         raise ParseError("invert needs kind=poly or kind=poisson input (see invert-weyl)")
-    endo = ef.poly_endo()
-    bound = gabber_degree_bound(endo)
+    else:
+        endo = ef.poly_endo()
+        bound, search, decide = gabber_degree_bound(endo), inverse_search_poly, decide_poly_automorphism
     if args.degree_cap is not None:
-        inverse, found = inverse_search_poly(endo, args.degree_cap)
+        inverse, found = search(endo, args.degree_cap)
         searched = args.degree_cap
     else:
-        decision = decide_poly_automorphism(endo, _MONOMIAL_CAP)
+        decision = decide(endo, _MONOMIAL_CAP)
         inverse, found, searched = decision.inverse, decision.found_degree, decision.searched_degree
     payload = {
         "ring": str(ef.ring),
@@ -181,32 +187,7 @@ def _run_invert(args):
         "searched_degree": searched,
         "found_degree": found,
         "certified_non_automorphism": inverse is None and searched >= bound,
-        "inverse_images": None if inverse is None else _poly_texts(inverse.images, ef.names()),
-    }
-    return 0, payload, input_digest(raw)
-
-
-def _run_invert_weyl(args):
-    text, raw = _load_file(args)
-    ef = parse_endo_file(text)
-    endo = _weyl_endo_from_file(ef)
-    bound = inverse_degree_bound(endo)
-    if args.degree_cap is not None:
-        inverse, found = inverse_search(endo, args.degree_cap)
-        searched = args.degree_cap
-    else:
-        decision = decide_weyl_automorphism(endo, _MONOMIAL_CAP)
-        inverse, found, searched = decision.inverse, decision.found_degree, decision.searched_degree
-    payload = {
-        "ring": str(ef.ring),
-        "status": "found" if inverse is not None else "none",
-        "degree_bound": bound,
-        "searched_degree": searched,
-        "found_degree": found,
-        "certified_non_automorphism": inverse is None and searched >= bound,
-        "inverse_images": None
-        if inverse is None
-        else [im.to_text(ef.names()) for im in inverse.images],
+        "inverse_images": None if inverse is None else _image_texts(inverse.images, ef.names()),
     }
     return 0, payload, input_digest(raw)
 
@@ -267,7 +248,7 @@ _HANDLERS = {
     "check-weyl-endo": _run_check_weyl_endo,
     "reduce": _run_reduce,
     "invert": _run_invert,
-    "invert-weyl": _run_invert_weyl,
+    "invert-weyl": _run_invert,
     "check-instance": _run_check_instance,
     "center-slice": _run_center_slice,
     "kraus": _run_kraus,
@@ -297,13 +278,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload, digest = _HANDLERS[args.command](args)
+        text = dump_report(build_report(args.command, digest, payload, args.seed))
+        if args.json:
+            Path(args.json).write_text(text, encoding="utf-8")
     except (ParseError, RelationError, NonUnitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = build_report(args.command, digest, payload, args.seed)
-    text = dump_report(report)
-    if args.json:
-        Path(args.json).write_text(text, encoding="utf-8")
+    except Exception as exc:  # an internal failure must never read as a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     for line in _summary_lines(args.command, payload):
         print(line)
     return code

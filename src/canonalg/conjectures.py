@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import weyl as weylmod
 from .linalg import solve_many
-from .poly import Poly, PolyEndo, monomial_count, monomials_upto, _monomial_image
+from .poly import Poly, PolyEndo, monomial_count
 from .poisson import PoissonContext, is_symplectic
 from .reduction import induced_center_endo, check_center_symplectic
 from .rings import GF, Ring, primes_upto
@@ -34,40 +34,14 @@ def gabber_degree_bound(endo: PolyEndo) -> int:
 def inverse_search_poly(endo: PolyEndo, degree_cap: int) -> tuple[PolyEndo | None, int | None]:
     """Search for a compositional inverse with image degrees <= degree_cap.
 
-    Substitution into the candidate is linear in its coefficients, so each
-    degree cap is one linear solve; caps are tried in increasing order and
-    monomial images are cached across them.  Any solution is checked
-    two-sided before being returned.
+    One linear solve per degree cap, in increasing order (see
+    :meth:`Endo.inverse_systems`); any solution is checked two-sided before
+    being returned.
     """
-    ring = endo.ring
-    if not ring.is_field():
-        raise ValueError("inverse search needs field coefficients")
-    m = endo.nvars
-    targets = [Poly.variable(ring, m, i) for i in range(1, m + 1)]
-    cache: dict = {}
-    for cap in range(1, degree_cap + 1):
-        basis = monomials_upto(m, cap)
-        columns = [_monomial_image(exps, endo.images, cache).terms for exps in basis]
-        row_keys = sorted(
-            {rk for col in columns for rk in col} | {rk for t in targets for rk in t.terms}
-        )
-        rows = [[col.get(rk, ring.zero()) for col in columns] for rk in row_keys]
-        rhs = [[t.terms.get(rk, ring.zero()) for rk in row_keys] for t in targets]
-        solutions = solve_many(ring, rows, rhs)
-        if any(sol is None for sol in solutions):
-            continue
-        images = []
-        for sol in solutions:
-            im = Poly.zero(ring, m)
-            for c, exps in zip(sol, basis):
-                if not ring.is_zero(c):
-                    im = im + Poly.monomial(ring, m, exps, c)
-            images.append(im)
-        inverse = PolyEndo(ring, m, images)
-        ident = PolyEndo.identity(ring, m)
-        if endo.compose(inverse) != ident or inverse.compose(endo) != ident:
-            raise AssertionError("one-sided inverse failed the two-sided check (internal bug)")
-        return inverse, cap
+    for cap, rows, rhs, basis in endo.inverse_systems(degree_cap):
+        inverse = endo.checked_inverse(basis, solve_many(endo.ring, rows, rhs))
+        if inverse is not None:
+            return inverse, cap
     return None, None
 
 
@@ -100,30 +74,28 @@ def _search_cap(nvars: int, bound: int, monomial_cap: int, quick_cap: int) -> in
     return min(reachable, quick_cap)
 
 
+def _decide(endo, bound: int, search, monomial_cap: int, quick_cap: int) -> AutomorphismDecision:
+    """Search as far as the budget allows; "no" only once the bound is exhausted."""
+    search_cap = _search_cap(len(endo.images), bound, monomial_cap, quick_cap)
+    inverse, found = search(endo, search_cap)
+    if inverse is not None:
+        return AutomorphismDecision("yes", found, bound, search_cap, inverse)
+    status = "no" if search_cap >= bound else "unknown"
+    return AutomorphismDecision(status, None, bound, search_cap)
+
+
 def decide_poly_automorphism(
     endo: PolyEndo, monomial_cap: int = 4000, quick_cap: int = 4
 ) -> AutomorphismDecision:
     if all(im.is_zero() or im.is_constant() for im in endo.images):
         return AutomorphismDecision("no", None, 0, 0)
-    bound = gabber_degree_bound(endo)
-    search_cap = _search_cap(endo.nvars, bound, monomial_cap, quick_cap)
-    inverse, found = inverse_search_poly(endo, search_cap)
-    if inverse is not None:
-        return AutomorphismDecision("yes", found, bound, search_cap, inverse)
-    status = "no" if search_cap >= bound else "unknown"
-    return AutomorphismDecision(status, None, bound, search_cap)
+    return _decide(endo, gabber_degree_bound(endo), inverse_search_poly, monomial_cap, quick_cap)
 
 
 def decide_weyl_automorphism(
     endo: WeylEndo, monomial_cap: int = 4000, quick_cap: int = 4
 ) -> AutomorphismDecision:
-    bound = weylmod.inverse_degree_bound(endo)
-    search_cap = _search_cap(2 * endo.algebra.n, bound, monomial_cap, quick_cap)
-    inverse, found = weylmod.inverse_search(endo, search_cap)
-    if inverse is not None:
-        return AutomorphismDecision("yes", found, bound, search_cap, inverse)
-    status = "no" if search_cap >= bound else "unknown"
-    return AutomorphismDecision(status, None, bound, search_cap)
+    return _decide(endo, weylmod.inverse_degree_bound(endo), weylmod.inverse_search, monomial_cap, quick_cap)
 
 
 # -- field-extension degree estimation ------------------------------------------------
@@ -172,7 +144,7 @@ def _uni_gcd_is_trivial(ring: Ring, a: list, b: list) -> bool:
     return len(a) == 1
 
 
-def extension_degree_estimate(endo: PolyEndo, trials: int | None = None) -> ExtensionDegreeReport:
+def extension_degree_estimate(endo: PolyEndo) -> ExtensionDegreeReport:
     """Degree of the induced function-field extension, by fiber counting.
 
     For one variable the degree is exactly the polynomial degree (reported
@@ -216,8 +188,6 @@ def extension_degree_estimate(endo: PolyEndo, trials: int | None = None) -> Exte
             key = (f1.evaluate(pt), f2.evaluate(pt))
             fibers[key] = fibers.get(key, 0) + 1
     sampled = sorted(fibers.items())
-    if trials is not None:
-        sampled = sampled[:trials]
     finite = [size for _, size in sampled if size <= bezout]
     blowups = sum(1 for _, size in sampled if size > bezout)
     if not finite:
@@ -274,13 +244,13 @@ def _jacobian_nonzero_const(endo: PolyEndo) -> bool:
     return det.is_constant() and not det.is_zero()
 
 
-def _extension_flag(endo: PolyEndo, trials: int | None, witnesses: list) -> tuple[bool | None, bool]:
+def _extension_flag(endo: PolyEndo, witnesses: list) -> tuple[bool | None, bool]:
     """(degree not a multiple of p, came-from-estimator)."""
     p = endo.ring.characteristic()
     if p == 0:
         return True, False  # no nonzero degree is a multiple of 0
     try:
-        rep = extension_degree_estimate(endo, trials)
+        rep = extension_degree_estimate(endo)
     except ValueError as exc:
         witnesses.append(f"extension degree not evaluated: {exc}")
         return None, True
@@ -290,7 +260,7 @@ def _extension_flag(endo: PolyEndo, trials: int | None, witnesses: list) -> tupl
     return rep.estimate % p != 0, not rep.exact
 
 
-def check_instance(tag: str, endo, monomial_cap: int = 4000, trials: int | None = None) -> InstanceVerdict:
+def check_instance(tag: str, endo, monomial_cap: int = 4000) -> InstanceVerdict:
     """Evaluate one conjecture instance; see the module docstring for semantics."""
     if tag not in TAGS:
         raise ValueError(f"unknown tag {tag!r}; expected one of {TAGS}")
@@ -306,7 +276,7 @@ def check_instance(tag: str, endo, monomial_cap: int = 4000, trials: int | None 
         flags["jacobian_nonzero"] = _jacobian_nonzero_const(endo)
         hyp_parts = [flags["jacobian_nonzero"]]
         if tag == "CJC":
-            ext, est = _extension_flag(endo, trials, witnesses)
+            ext, est = _extension_flag(endo, witnesses)
             flags["extension_degree_ok"] = ext
             estimated = est and ring.characteristic() != 0
             hyp_parts.append(ext)
@@ -321,7 +291,7 @@ def check_instance(tag: str, endo, monomial_cap: int = 4000, trials: int | None 
         decision = decide_poly_automorphism(endo, monomial_cap)
         hyp_parts = []
         if tag == "CPC":
-            ext, est = _extension_flag(endo, trials, witnesses)
+            ext, est = _extension_flag(endo, witnesses)
             flags["extension_degree_ok"] = ext
             estimated = est and ring.characteristic() != 0
             hyp_parts.append(ext)
@@ -343,7 +313,7 @@ def check_instance(tag: str, endo, monomial_cap: int = 4000, trials: int | None 
             center = induced_center_endo(endo).endo
             flags["symplectic"] = is_symplectic(PoissonContext(ring, n), center)
             if tag == "CDC":
-                ext, est = _extension_flag(center, trials, witnesses)
+                ext, est = _extension_flag(center, witnesses)
                 flags["extension_degree_ok"] = ext
                 estimated = est
                 hyp_parts.append(ext)
@@ -451,21 +421,6 @@ class KrausReport:
         }
 
 
-def _uni_text(coeffs: list[int]) -> str:
-    parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if c == 0:
-            continue
-        if e == 0:
-            body = str(c)
-        else:
-            head = "" if c == 1 else f"{c}*"
-            body = f"{head}X1" + (f"^{e}" if e > 1 else "")
-        parts.append(body)
-    return " + ".join(parts) if parts else "0"
-
-
 def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -498,14 +453,7 @@ def _factor_quartic_mod(p: int) -> tuple[list[int], list[int]] | None:
     for a in range(p):  # (X^2 + aX - 1)(X^2 - aX - 1), needs a^2 = -2
         if (a * a + 2) % p == 0:
             return ([(-1) % p, a, 1], [(-1) % p, (-a) % p, 1])
-    # exhaustive fallback; unreachable for prime p by quadratic reciprocity
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for dd in range(p):
-                    if _mul_mod([b, a, 1], [dd, c, 1], p) == [x % p for x in _QUARTIC]:
-                        return ([b, a, 1], [dd, c, 1])
-    return None
+    return None  # unreachable for prime p: one of -1, 2, -2 is a square mod p
 
 
 def kraus_check(p_max: int) -> KrausReport:
@@ -526,7 +474,8 @@ def kraus_check(p_max: int) -> KrausReport:
         if pair is None or _mul_mod(pair[0], pair[1], p) != [x % p for x in _QUARTIC]:
             all_reducible = False
             continue
-        factorizations[p] = (_uni_text(pair[0]), _uni_text(pair[1]))
+        ring = GF(p)
+        factorizations[p] = tuple(Poly(ring, 1, {(e,): c for e, c in enumerate(f)}).to_text() for f in pair)
 
     no_root = all(r**4 + 1 != 0 for r in (1, -1))
     no_quadratic = True

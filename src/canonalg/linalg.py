@@ -75,7 +75,3 @@ def matrix_rank(ring: Ring, rows: Sequence[Sequence]) -> int:
         return 0
     mat = [list(r) for r in rows]
     return len(_eliminate(ring, mat, len(mat[0])))
-
-
-def nullspace_dimension(ring: Ring, rows: Sequence[Sequence], n_unknowns: int) -> int:
-    return n_unknowns - matrix_rank(ring, rows)

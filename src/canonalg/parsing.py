@@ -290,15 +290,18 @@ def parse_endo_file(text: str) -> EndoFile:
             raise ParseError("missing '->'", line_no, 1)
         if lhs.strip() != expected:
             raise ParseError(f"expected image of {expected}, found {lhs.strip()!r}", line_no, 1)
-        ast = parse_expression(rhs, line_no)
-        _check_names(ast, names, line_no)
-        try:
-            if kind == "weyl":
-                images.append(eval_weyl(ast, algebra, names))
-            else:
-                images.append(eval_poly(ast, ring, names))
-        except (ValueError, ArithmeticError) as exc:
-            raise ParseError(str(exc), line_no, 1) from None
+        try:  # the tree walks recurse once per operator
+            ast = parse_expression(rhs, line_no)
+            _check_names(ast, names, line_no)
+            try:
+                if kind == "weyl":
+                    images.append(eval_weyl(ast, algebra, names))
+                else:
+                    images.append(eval_poly(ast, ring, names))
+            except (ValueError, ArithmeticError) as exc:
+                raise ParseError(str(exc), line_no, 1) from None
+        except RecursionError:
+            raise ParseError("expression nested too deeply", line_no, 1) from None
     return EndoFile(ring=ring, kind=kind, n=n, nvars=nvars, images=tuple(images))
 
 

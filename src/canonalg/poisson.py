@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .poly import Poly, PolyEndo, PolyMatrix
+from .poly import Poly, PolyEndo, PolyMatrix, compose_random_steps, random_unit
 from .rings import Ring
 
 
@@ -147,6 +147,9 @@ def pair_scaling(ctx: PoissonContext, i: int, unit) -> PolyEndo:
     return PolyEndo(ctx.ring, ctx.nvars, images)
 
 
+_UNITS_Q = (1, -1, 2, -2, 3)  # unit pool over Q for coefficients and scalings
+
+
 def _random_block_poly(rng: random.Random, ctx: PoissonContext, lo: int, hi: int, max_degree: int) -> Poly:
     ring = ctx.ring
     acc = Poly.zero(ring, ctx.nvars)
@@ -155,17 +158,9 @@ def _random_block_poly(rng: random.Random, ctx: PoissonContext, lo: int, hi: int
         deg = rng.randint(1, max_degree)
         for _ in range(deg):
             exps[rng.randint(lo, hi) - 1] += 1
-        c = _random_unit(rng, ring)
+        c = random_unit(rng, ring, _UNITS_Q)
         acc = acc + Poly.monomial(ring, ctx.nvars, exps, c)
     return acc
-
-
-def _random_unit(rng: random.Random, ring: Ring):
-    if ring.kind == "Fp":
-        return rng.randint(1, ring.p - 1)
-    if ring.kind == "Q":
-        return ring.of_int(rng.choice([1, -1, 2, -2, 3]))
-    return ring.of_int(rng.choice([1, -1]))
 
 
 def generate_symplectomorphism(
@@ -178,25 +173,14 @@ def generate_symplectomorphism(
     is verified symplectic before being returned.
     """
     rng = random.Random(seed)
-    endo = PolyEndo.identity(ctx.ring, ctx.nvars)
-    done = 0
-    attempts = 0
-    while done < steps and attempts < 8 * steps + 8:
-        attempts += 1
-        kind = rng.choice(("shear", "dual-shear", "swap", "scale"))
-        if kind == "shear":
-            step = coordinate_shear(ctx, _random_block_poly(rng, ctx, ctx.n + 1, 2 * ctx.n, 3))
-        elif kind == "dual-shear":
-            step = momentum_shear(ctx, _random_block_poly(rng, ctx, 1, ctx.n, 3))
-        elif kind == "swap":
-            step = pair_swap(ctx, rng.randint(1, ctx.n))
-        else:
-            step = pair_scaling(ctx, rng.randint(1, ctx.n), _random_unit(rng, ctx.ring))
-        candidate = step.compose(endo)
-        if max_degree is not None and candidate.degree() > max_degree:
-            continue
-        endo = candidate
-        done += 1
+    n = ctx.n
+    draws = {
+        "shear": lambda: coordinate_shear(ctx, _random_block_poly(rng, ctx, n + 1, 2 * n, 3)),
+        "dual-shear": lambda: momentum_shear(ctx, _random_block_poly(rng, ctx, 1, n, 3)),
+        "swap": lambda: pair_swap(ctx, rng.randint(1, n)),
+        "scale": lambda: pair_scaling(ctx, rng.randint(1, n), random_unit(rng, ctx.ring, _UNITS_Q)),
+    }
+    endo = compose_random_steps(PolyEndo.identity(ctx.ring, ctx.nvars), rng, steps, max_degree, draws)
     if not is_symplectic(ctx, endo):
         raise AssertionError("generator produced a non-symplectic map (internal bug)")
     return endo

@@ -7,20 +7,20 @@ identical inputs give byte-identical output.
 
 The module also provides polynomial maps (algebra endomorphisms given by
 their images of the variables), jacobian matrices, and division-free
-determinants -- the commutative substrate everything else builds on.
+determinants -- the commutative substrate everything else builds on.  Its
+two base classes are the core the Weyl side shares: :class:`Terms` (sparse
+term arithmetic and rendering) and :class:`Endo` (application, composition,
+monomial-image caching and the linear systems of the inverse search).
 """
 
 from __future__ import annotations
 
+import random
 from typing import Iterable, Iterator, Sequence
 
 from .rings import Ring
 
 Exponents = tuple[int, ...]
-
-
-def grlex_key(exps: Exponents):
-    return (sum(exps), exps)
 
 
 def compositions(total: int, k: int) -> Iterator[Exponents]:
@@ -48,12 +48,116 @@ def monomial_count(nvars: int, max_degree: int) -> int:
     return comb(max_degree + nvars, nvars)
 
 
-class Poly:
-    """Sparse polynomial: ``terms`` maps exponent tuples to nonzero coefficients.
+class Terms:
+    """Sparse sum of terms: ``terms`` maps keys to nonzero ring elements.
 
-    Values are immutable by convention; every operation returns a fresh
-    polynomial with zero terms pruned.
+    The base of :class:`Poly` and :class:`canonalg.weyl.WeylElement`.  A
+    subclass supplies ``ring``, its space (``_space`` gives the constructor
+    arguments before the terms, ``_make`` a value in the same space), its key
+    shape (``_key`` checks a key, ``_flat``/``_unflat`` convert it to and
+    from one exponent per letter in printing order), ``_one``, its letter
+    names and its own ``__mul__``.
+
+    Values are immutable by convention.  The constructor maps every
+    coefficient through the ring and drops the zero ones, so equal values
+    have equal ``terms``; ``_make`` takes coefficients that arithmetic on
+    such values produced, already reduced, and only drops zeros.
     """
+
+    __slots__ = ()
+
+    def _set_terms(self, terms: dict | None):
+        coerce = self.ring.coerce
+        clean = {}
+        for key, c in (terms or {}).items():
+            key = self._key(key)
+            c = coerce(c)
+            if c != 0:
+                clean[key] = c
+        self.terms = clean
+
+    def _check(self, other):
+        if self._space() != other._space():
+            raise ValueError(f"{type(self).__name__} operands live in different spaces")
+
+    # -- queries ---------------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        """Total degree in all letters; undefined (error) for zero."""
+        if not self.terms:
+            raise ValueError("degree of zero is undefined")
+        return max(sum(self._flat(key)) for key in self.terms)
+
+    def sorted_terms(self) -> list:
+        """Terms in descending graded order: total degree, then the key."""
+        return sorted(self.terms.items(), key=lambda kv: (sum(self._flat(kv[0])), kv[0]), reverse=True)
+
+    # -- linear structure and powers -------------------------------------------
+
+    def __add__(self, other):
+        self._check(other)
+        add, zero = self.ring.add, self.ring.zero()
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = add(out.get(key, zero), c)
+        return self._make(out)
+
+    def __neg__(self):
+        neg = self.ring.neg
+        return self._make({key: neg(c) for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        ring = self.ring
+        c = ring.coerce(c)
+        return self._make({key: ring.mul(c, v) for key, v in self.terms.items()})
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power")
+        result = self._one()
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._space() == other._space() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._space(), frozenset(self.terms.items())))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.ring}, {self.to_text()})"
+
+    def to_text(self, names: Sequence[str] | None = None) -> str:
+        """Grammar-compatible rendering: graded order, explicit ``*``, ``^`` powers."""
+        if not self.terms:
+            return "0"
+        letters = self._letters(names)
+        signed = self.ring.kind != "Fp"
+        pieces = []
+        for key, c in self.sorted_terms():
+            neg = signed and c < 0
+            mag = str(-c if neg else c)
+            word = [x if e == 1 else f"{x}^{e}" for x, e in zip(letters, self._flat(key)) if e]
+            if mag != "1" or not word:
+                word.insert(0, mag)
+            pieces.append((" - " if neg else " + ") + "*".join(word))
+        text = "".join(pieces)  # starts " + " or " - "; the leading sign takes no spaces
+        return ("-" if text[1] == "-" else "") + text[3:]
+
+
+class Poly(Terms):
+    """Sparse polynomial: ``terms`` maps exponent tuples to nonzero coefficients."""
 
     __slots__ = ("ring", "nvars", "terms")
 
@@ -62,13 +166,34 @@ class Poly:
             raise ValueError("nvars must be >= 0")
         self.ring = ring
         self.nvars = nvars
-        clean: dict[Exponents, object] = {}
-        for exps, c in (terms or {}).items():
-            if len(exps) != nvars:
-                raise ValueError(f"exponent vector {exps} has length != {nvars}")
-            if not ring.is_zero(c):
-                clean[tuple(exps)] = c
-        self.terms = clean
+        self._set_terms(terms)
+
+    def _space(self) -> tuple:
+        return (self.ring, self.nvars)
+
+    def _make(self, terms: dict) -> "Poly":
+        out = object.__new__(Poly)
+        out.ring, out.nvars = self.ring, self.nvars
+        out.terms = {key: c for key, c in terms.items() if c}
+        return out
+
+    def _key(self, exps) -> Exponents:
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError(f"exponent vector {exps} has length != {self.nvars}")
+        return exps
+
+    @staticmethod
+    def _flat(exps: Exponents) -> Exponents:
+        return exps
+
+    _unflat = _flat
+
+    def _one(self) -> "Poly":
+        return Poly.one(self.ring, self.nvars)
+
+    def _letters(self, names):
+        return list(names) if names is not None else default_names(self.nvars)
 
     # -- constructors --------------------------------------------------------
 
@@ -100,9 +225,6 @@ class Poly:
 
     # -- basic queries ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
@@ -110,130 +232,46 @@ class Poly:
         """The coefficient of the empty monomial (0 if absent)."""
         return self.terms.get((0,) * self.nvars, self.ring.zero())
 
-    def degree(self) -> int:
-        """Total degree; undefined (error) for the zero polynomial."""
-        if not self.terms:
-            raise ValueError("degree of the zero polynomial is undefined")
-        return max(sum(e) for e in self.terms)
-
-    def sorted_terms(self) -> list[tuple[Exponents, object]]:
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-
     def coeff(self, exps: Exponents):
         return self.terms.get(tuple(exps), self.ring.zero())
 
-    def _check_compatible(self, other: "Poly"):
-        if self.ring != other.ring or self.nvars != other.nvars:
-            raise ValueError("polynomials live over different rings or variable counts")
-
-    # -- ring operations ---------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        ring = self.ring
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = ring.add(out.get(exps, ring.zero()), c)
-            if ring.is_zero(acc):
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
-        return Poly(ring, self.nvars, out)
-
-    def __neg__(self) -> "Poly":
-        ring = self.ring
-        return Poly(ring, self.nvars, {e: ring.neg(c) for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+    # -- multiplication, calculus and substitution -----------------------------------
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
+        self._check(other)
         ring = self.ring
+        add, mul, zero = ring.add, ring.mul, ring.zero()
         out: dict[Exponents, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                acc = ring.add(out.get(e, ring.zero()), ring.mul(c1, c2))
-                if ring.is_zero(acc):
-                    out.pop(e, None)
-                else:
-                    out[e] = acc
-        return Poly(ring, self.nvars, out)
-
-    def scale(self, c) -> "Poly":
-        ring = self.ring
-        return Poly(ring, self.nvars, {e: ring.mul(c, v) for e, v in self.terms.items()})
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.ring, self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.ring == other.ring
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.nvars, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"Poly({self.ring}, {self.to_text()})"
-
-    # -- calculus and substitution ------------------------------------------------
+                out[e] = add(out.get(e, zero), mul(c1, c2))
+        return self._make(out)
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative with respect to the i-th variable (1-based)."""
         if not 1 <= i <= self.nvars:
             raise IndexError(f"variable index {i} out of range 1..{self.nvars}")
-        ring = self.ring
-        out: dict[Exponents, object] = {}
-        for exps, c in self.terms.items():
-            e = exps[i - 1]
-            if e == 0:
-                continue
-            factor = ring.mul(c, ring.of_int(e))
-            if ring.is_zero(factor):
-                continue  # characteristic kills the term
-            new = list(exps)
-            new[i - 1] = e - 1
-            key = tuple(new)
-            acc = ring.add(out.get(key, ring.zero()), factor)
-            if ring.is_zero(acc):
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return Poly(ring, self.nvars, out)
+        ring, k = self.ring, i - 1
+        # distinct terms stay distinct; the constructor drops those the characteristic kills
+        return self._make(
+            {
+                exps[:k] + (exps[k] - 1,) + exps[k + 1 :]: ring.mul(c, ring.of_int(exps[k]))
+                for exps, c in self.terms.items()
+                if exps[k]
+            }
+        )
 
     def frobenius(self) -> "Poly":
         """p-th power over F_p, one term at a time: c*X^a -> c*X^(p*a)."""
         p = self.ring.characteristic()
         if p == 0:
             raise ValueError("frobenius power needs a prime-field coefficient ring")
-        return Poly(self.ring, self.nvars, {tuple(p * e for e in exps): c for exps, c in self.terms.items()})
+        return self._make({tuple(p * e for e in exps): c for exps, c in self.terms.items()})
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Evaluate at the given variable images: f(images[0], ..., images[m-1])."""
-        if len(images) != self.nvars:
-            raise ValueError("image count does not match variable count")
-        for im in images:
-            self._check_compatible(im)
-        cache: dict[Exponents, Poly] = {}
-        result = Poly.zero(self.ring, self.nvars)
-        for exps, c in self.sorted_terms():
-            result = result + _monomial_image(exps, images, cache).scale(c)
-        return result
+        return PolyEndo(self.ring, self.nvars, images).apply(self)
 
     def evaluate(self, point: Sequence):
         """Value at a point given as ring elements, one per variable."""
@@ -249,36 +287,143 @@ class Poly:
             acc = ring.add(acc, v)
         return acc
 
-    def to_text(self, names: Sequence[str] | None = None) -> str:
-        return poly_to_text(self, names)
+
+class Endo:
+    """Algebra endomorphism given by ``images``, one per generator in order.
+
+    The base of :class:`PolyEndo` and :class:`canonalg.weyl.WeylEndo`.  A
+    subclass supplies ``ring``, ``_space`` (the constructor arguments before
+    the images), its generators and ``_letter_images`` (the images in the
+    letter order of the flattened term keys).
+
+    A monomial's image is the image of the monomial without its last letter
+    times that letter's image.  That holds in normal order too: the last
+    letter of a normal-ordered word can be split off on the right, because
+    the letters of one block commute among themselves.
+    """
+
+    __slots__ = ()
+
+    def degree(self) -> int:
+        """Max total degree over the nonzero images; rejects the zero map."""
+        degs = [im.degree() for im in self.images if not im.is_zero()]
+        if not degs:
+            raise ValueError("degree of the all-zero endomorphism is undefined")
+        return max(degs)
+
+    def is_identity(self) -> bool:
+        return list(self.images) == self._generators()
+
+    def _image_cache(self) -> dict:
+        """Monomial images by flattened key, seeded with the empty monomial."""
+        one = self.images[0]._one()
+        return {(0,) * len(self.images): one}
+
+    def _monomial_image(self, flat: Exponents, cache: dict):
+        letters = self._letter_images()
+        chain = []
+        while flat not in cache:
+            j = max(k for k, e in enumerate(flat) if e)
+            chain.append((flat, j))
+            flat = flat[:j] + (flat[j] - 1,) + flat[j + 1 :]
+        for key, j in reversed(chain):
+            cache[key] = cache[flat] * letters[j]
+            flat = key
+        return cache[flat]
+
+    def _apply(self, f, cache: dict):
+        if f._space() != self._space():
+            raise ValueError("element from a different space than the endomorphism")
+        ring = self.ring
+        add, mul, zero = ring.add, ring.mul, ring.zero()
+        out: dict = {}
+        for key, c in f.terms.items():
+            for k, v in self._monomial_image(f._flat(key), cache).terms.items():
+                out[k] = add(out.get(k, zero), mul(c, v))
+        return f._make(out)
+
+    def apply(self, f):
+        """Image of an element: the sum of its terms' monomial images."""
+        return self._apply(f, self._image_cache())
+
+    def compose(self, other):
+        """self after other: (self . other)(Y_i) = self(other(Y_i))."""
+        if self._space() != other._space():
+            raise ValueError("endomorphism mismatch")
+        cache = self._image_cache()
+        return type(self)(*self._space(), [self._apply(im, cache) for im in other.images])
+
+    def inverse_systems(self, degree_cap: int):
+        """The linear systems of the inverse search, one per degree cap.
+
+        The inverse's images are unknown combinations of the monomials of
+        degree <= cap; applying this map to them is linear in the unknowns,
+        so ``self(psi(Y_i)) = Y_i`` is one system per cap with one right-hand
+        side per generator.  Yields ``(cap, rows, rhs, basis)``: rows indexed
+        by the sorted term keys that occur, one column per basis monomial
+        (flattened keys), monomial images cached across caps.
+        """
+        ring = self.ring
+        if not ring.is_field():
+            raise ValueError("inverse search needs field coefficients")
+        targets = self._generators()
+        cache = self._image_cache()
+        zero = ring.zero()
+        for cap in range(1, degree_cap + 1):
+            basis = monomials_upto(len(targets), cap)
+            columns = [self._monomial_image(b, cache).terms for b in basis]
+            row_keys = sorted({rk for col in columns for rk in col} | {rk for t in targets for rk in t.terms})
+            rows = [[col.get(rk, zero) for col in columns] for rk in row_keys]
+            rhs = [[t.terms.get(rk, zero) for rk in row_keys] for t in targets]
+            yield cap, rows, rhs, basis
+
+    def checked_inverse(self, basis: list, solutions: list):
+        """The inverse read off one cap's solutions, None if a system had none.
+
+        The candidate is built through the subclass constructor (a Weyl one
+        verifies the relations) and must compose to the identity on both
+        sides; a failure there is an internal bug, never a verdict.
+        """
+        if any(sol is None for sol in solutions):
+            return None
+        one = self.images[0]._one()
+        images = [one._make({one._unflat(b): c for b, c in zip(basis, sol)}) for sol in solutions]
+        inverse = type(self)(*self._space(), images)
+        if not self.compose(inverse).is_identity() or not inverse.compose(self).is_identity():
+            raise AssertionError("one-sided inverse failed the two-sided check (internal bug)")
+        return inverse
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self._space() == other._space() and self.images == other.images
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(im.to_text() for im in self.images) + ")"
 
 
-def _monomial_image(exps: Exponents, images: Sequence[Poly], cache: dict) -> Poly:
-    """Image of X^exps under the map, built by peeling one variable at a time."""
-    ring, nvars = images[0].ring, images[0].nvars
-    todo = [exps]
-    while todo:
-        cur = todo[-1]
-        if cur in cache:
-            todo.pop()
-            continue
-        j = next((k for k in range(nvars - 1, -1, -1) if cur[k] > 0), None)
-        if j is None:
-            cache[cur] = Poly.one(ring, nvars)
-            todo.pop()
-            continue
-        pred = list(cur)
-        pred[j] -= 1
-        pred = tuple(pred)
-        if pred in cache:
-            cache[cur] = cache[pred] * images[j]
-            todo.pop()
-        else:
-            todo.append(pred)
-    return cache[exps]
+def compose_random_steps(endo: Endo, rng: random.Random, steps: int, max_degree: int | None, draws: dict) -> Endo:
+    """``steps`` elementary maps composed after ``endo``, each made by the
+    function in ``draws`` under a kind chosen with ``rng``.  A step that would
+    push the degree past max_degree is skipped; at most 8 * steps + 8 are drawn.
+    """
+    kinds = tuple(draws)
+    done = attempts = 0
+    while done < steps and attempts < 8 * steps + 8:
+        attempts += 1
+        candidate = draws[rng.choice(kinds)]().compose(endo)
+        if max_degree is None or candidate.degree() <= max_degree:
+            endo = candidate
+            done += 1
+    return endo
 
 
-class PolyEndo:
+def random_unit(rng: random.Random, ring: Ring, rational_pool: Sequence[int]):
+    """A seeded unit: any nonzero residue over F_p, +-1 over Z, from the pool over Q."""
+    if ring.kind == "Fp":
+        return rng.randint(1, ring.p - 1)
+    return ring.of_int(rng.choice(rational_pool if ring.kind == "Q" else [1, -1]))
+
+
+class PolyEndo(Endo):
     """Algebra endomorphism of the polynomial ring, given by variable images."""
 
     __slots__ = ("ring", "nvars", "images")
@@ -297,39 +442,20 @@ class PolyEndo:
     def identity(cls, ring: Ring, nvars: int) -> "PolyEndo":
         return cls(ring, nvars, [Poly.variable(ring, nvars, i) for i in range(1, nvars + 1)])
 
-    def is_identity(self) -> bool:
-        return self == PolyEndo.identity(self.ring, self.nvars)
+    def _space(self) -> tuple:
+        return (self.ring, self.nvars)
 
-    def degree(self) -> int:
-        """Max total degree over the nonzero images; rejects the zero map."""
-        degs = [im.degree() for im in self.images if not im.is_zero()]
-        if not degs:
-            raise ValueError("degree of the all-zero endomorphism is undefined")
-        return max(degs)
+    def _generators(self) -> list[Poly]:
+        return [Poly.variable(self.ring, self.nvars, i) for i in range(1, self.nvars + 1)]
 
-    def apply(self, f: Poly) -> Poly:
-        return f.substitute(self.images)
+    def _letter_images(self):
+        return self.images
 
-    def compose(self, other: "PolyEndo") -> "PolyEndo":
-        """self after other: (self . other)(X_i) = self(other(X_i))."""
-        if self.ring != other.ring or self.nvars != other.nvars:
-            raise ValueError("endomorphism mismatch")
-        return PolyEndo(self.ring, self.nvars, [im.substitute(self.images) for im in other.images])
+    compose = Endo.compose  # own attribute, so it can be wrapped per class
 
     def jacobian(self) -> "PolyMatrix":
         rows = [[im.partial(j) for j in range(1, self.nvars + 1)] for im in self.images]
         return PolyMatrix(self.ring, self.nvars, rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyEndo)
-            and self.ring == other.ring
-            and self.nvars == other.nvars
-            and self.images == other.images
-        )
-
-    def __repr__(self):
-        return "PolyEndo(" + ", ".join(im.to_text() for im in self.images) + ")"
 
 
 class PolyMatrix:
@@ -419,40 +545,5 @@ def _det(rows, ring: Ring, nvars: int) -> Poly:
     return acc
 
 
-# -- plain-text rendering (shared CLI grammar) ---------------------------------
-
-
 def default_names(nvars: int, letter: str = "X") -> list[str]:
     return [f"{letter}{i}" for i in range(1, nvars + 1)]
-
-
-def _render_coeff(ring: Ring, c) -> tuple[bool, str]:
-    """Split a coefficient into (is_negative, magnitude_text)."""
-    if ring.kind == "Fp":
-        return False, str(c)
-    neg = c < 0
-    return neg, str(-c if neg else c)
-
-
-def poly_to_text(f: Poly, names: Sequence[str] | None = None) -> str:
-    """Grammar-compatible rendering: graded order, explicit ``*``, ``^`` powers."""
-    if f.is_zero():
-        return "0"
-    names = list(names) if names is not None else default_names(f.nvars)
-    pieces = []
-    for idx, (exps, c) in enumerate(f.sorted_terms()):
-        neg, mag = _render_coeff(f.ring, c)
-        vars_part = "*".join(
-            name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e > 0
-        )
-        if not vars_part:
-            body = mag
-        elif mag == "1":
-            body = vars_part
-        else:
-            body = f"{mag}*{vars_part}"
-        if idx == 0:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append((" - " if neg else " + ") + body)
-    return "".join(pieces)

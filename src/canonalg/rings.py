@@ -99,6 +99,12 @@ class Ring:
             return self.mul(self.of_int(fr.numerator), self.inv(self.of_int(fr.denominator)))
         raise NonUnitError(f"{fr} has no image in Z")
 
+    def coerce(self, c):
+        """The element of this ring that an int or a Fraction stands for."""
+        if isinstance(c, Fraction):
+            return c if self.kind == "Q" else self.of_fraction(c)
+        return self.of_int(c)
+
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
@@ -116,9 +122,6 @@ class Ring:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def is_one(self, a) -> bool:
-        return a == 1
-
     def is_unit(self, a) -> bool:
         if self.kind == "Z":
             return a in (1, -1)
@@ -133,12 +136,6 @@ class Ring:
         if self.kind == "Q":
             return 1 / Fraction(a)
         return a  # 1 and -1 are self-inverse
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def to_str(self, a) -> str:
-        return str(a)
 
 
 ZZ = Ring("Z")

@@ -33,7 +33,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .linalg import matrix_rank, solve_many
-from .poly import Poly, monomials_upto
+from .poly import Endo, Poly, Terms, compose_random_steps, default_names, monomials_upto, random_unit
 from .rings import Ring
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -99,68 +99,51 @@ def _falling(b: int, k: int) -> int:
     return out
 
 
-class WeylElement:
+class WeylElement(Terms):
     """Normal-ordered element: exponent pair (position, derivation) -> coefficient."""
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: WeylAlgebra, terms: dict | None = None):
         self.algebra = algebra
-        ring = algebra.ring
-        clean: dict[TermKey, object] = {}
-        for (g, d), c in (terms or {}).items():
-            if len(g) != algebra.n or len(d) != algebra.n:
-                raise ValueError("exponent pair has wrong length")
-            if not ring.is_zero(c):
-                clean[(tuple(g), tuple(d))] = c
-        self.terms = clean
+        self._set_terms(terms)
 
-    # -- queries ---------------------------------------------------------------
+    def _space(self) -> tuple:
+        return (self.algebra,)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _make(self, terms: dict) -> "WeylElement":
+        out = object.__new__(WeylElement)
+        out.algebra = self.algebra
+        out.terms = {key: c for key, c in terms.items() if c}
+        return out
 
-    def degree(self) -> int:
-        """Total degree in all 2n generators; undefined for zero."""
-        if not self.terms:
-            raise ValueError("degree of the zero element is undefined")
-        return max(sum(g) + sum(d) for g, d in self.terms)
+    @property
+    def ring(self) -> Ring:
+        return self.algebra.ring
 
-    def sorted_terms(self) -> list[tuple[TermKey, object]]:
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0]),
-            reverse=True,
-        )
+    def _key(self, key) -> TermKey:
+        g, d = key
+        if len(g) != self.algebra.n or len(d) != self.algebra.n:
+            raise ValueError("exponent pair has wrong length")
+        return (tuple(g), tuple(d))
 
-    def _check(self, other: "WeylElement"):
-        if self.algebra != other.algebra:
-            raise ValueError("elements of different Weyl algebras")
+    @staticmethod
+    def _flat(key: TermKey) -> tuple[int, ...]:
+        """Position exponents, then derivation exponents: the printing order."""
+        return key[0] + key[1]
 
-    # -- linear structure --------------------------------------------------------
+    @staticmethod
+    def _unflat(flat: tuple[int, ...]) -> TermKey:
+        n = len(flat) // 2
+        return (flat[:n], flat[n:])
 
-    def __add__(self, other: "WeylElement") -> "WeylElement":
-        self._check(other)
-        ring = self.algebra.ring
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = ring.add(out.get(key, ring.zero()), c)
-            if ring.is_zero(acc):
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return WeylElement(self.algebra, out)
+    def _one(self) -> "WeylElement":
+        return self.algebra.one()
 
-    def __neg__(self) -> "WeylElement":
-        ring = self.algebra.ring
-        return WeylElement(self.algebra, {k: ring.neg(c) for k, c in self.terms.items()})
-
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + (-other)
-
-    def scale(self, c) -> "WeylElement":
-        ring = self.algebra.ring
-        return WeylElement(self.algebra, {k: ring.mul(c, v) for k, v in self.terms.items()})
+    def _letters(self, names):
+        n = self.algebra.n
+        names = list(names) if names is not None else default_names(2 * n, "Y")
+        return names[n:] + names[:n]
 
     # -- multiplication ------------------------------------------------------------
 
@@ -169,6 +152,7 @@ class WeylElement:
         self._check(other)
         alg = self.algebra
         ring = alg.ring
+        zero = ring.zero()
         out: dict[TermKey, object] = {}
         for (g1, d1), c1 in self.terms.items():
             for (g2, d2), c2 in other.terms.items():
@@ -180,68 +164,14 @@ class WeylElement:
                         if l:
                             weight *= comb(a, l) * _falling(b, l)
                     c = ring.mul(base, ring.of_int(weight))
-                    if ring.is_zero(c):
+                    if c == 0:
                         continue
                     key = (
                         tuple(x + y - l for x, y, l in zip(g1, g2, lam)),
                         tuple(x + y - l for x, y, l in zip(d1, d2, lam)),
                     )
-                    acc = ring.add(out.get(key, ring.zero()), c)
-                    if ring.is_zero(acc):
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
-        return WeylElement(alg, out)
-
-    def __pow__(self, k: int) -> "WeylElement":
-        if k < 0:
-            raise ValueError("negative power")
-        result = self.algebra.one()
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"WeylElement({self.algebra.ring}, {self.to_text()})"
-
-    def to_text(self, names: Sequence[str] | None = None) -> str:
-        """Grammar-compatible text, position letters left of derivation letters."""
-        if not self.terms:
-            return "0"
-        n = self.algebra.n
-        names = list(names) if names is not None else [f"Y{i}" for i in range(1, 2 * n + 1)]
-        ring = self.algebra.ring
-        pieces = []
-        for idx, ((g, d), c) in enumerate(self.sorted_terms()):
-            if ring.kind == "Fp":
-                neg, mag = False, str(c)
-            else:
-                neg = c < 0
-                mag = str(-c if neg else c)
-            letters = [
-                names[n + k] if e == 1 else f"{names[n + k]}^{e}" for k, e in enumerate(g) if e
-            ] + [names[k] if e == 1 else f"{names[k]}^{e}" for k, e in enumerate(d) if e]
-            if not letters:
-                body = mag
-            elif mag == "1":
-                body = "*".join(letters)
-            else:
-                body = "*".join([mag] + letters)
-            if idx == 0:
-                pieces.append(("-" if neg else "") + body)
-            else:
-                pieces.append((" - " if neg else " + ") + body)
-        return "".join(pieces)
+                    out[key] = ring.add(out.get(key, zero), c)
+        return self._make(out)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -277,7 +207,7 @@ def verify_endo_relations(
     return True, None
 
 
-class WeylEndo:
+class WeylEndo(Endo):
     """Relation-verified endomorphism; construction rejects invalid image lists."""
 
     __slots__ = ("algebra", "images")
@@ -293,59 +223,22 @@ class WeylEndo:
     def identity(cls, algebra: WeylAlgebra) -> "WeylEndo":
         return cls(algebra, algebra.generators())
 
-    def is_identity(self) -> bool:
-        return list(self.images) == self.algebra.generators()
+    @property
+    def ring(self) -> Ring:
+        return self.algebra.ring
 
-    def degree(self) -> int:
-        degs = [im.degree() for im in self.images if not im.is_zero()]
-        if not degs:
-            raise ValueError("degree of the all-zero endomorphism is undefined")
-        return max(degs)
+    def _space(self) -> tuple:
+        return (self.algebra,)
 
-    def apply(self, a: WeylElement) -> WeylElement:
-        """Image of an element: each normal-form term maps to the ordered product
-        of image powers, position block first."""
-        if a.algebra != self.algebra:
-            raise ValueError("element from the wrong algebra")
-        alg = self.algebra
-        powers: dict[tuple[int, int], WeylElement] = {}
+    def _generators(self) -> list[WeylElement]:
+        return self.algebra.generators()
 
-        def image_power(gen_index: int, k: int) -> WeylElement:
-            key = (gen_index, k)
-            if key not in powers:
-                if k == 0:
-                    powers[key] = alg.one()
-                else:
-                    powers[key] = image_power(gen_index, k - 1) * self.images[gen_index - 1]
-            return powers[key]
+    def _letter_images(self):
+        """Images of the position block, then of the derivation block."""
+        n = self.algebra.n
+        return self.images[n:] + self.images[:n]
 
-        out = alg.zero()
-        for (g, d), c in a.sorted_terms():
-            acc = alg.one()
-            for i, e in enumerate(g, start=1):
-                if e:
-                    acc = acc * image_power(alg.n + i, e)
-            for i, e in enumerate(d, start=1):
-                if e:
-                    acc = acc * image_power(i, e)
-            out = out + acc.scale(c)
-        return out
-
-    def compose(self, other: "WeylEndo") -> "WeylEndo":
-        """self after other; the result is re-verified on construction."""
-        if self.algebra != other.algebra:
-            raise ValueError("endomorphism mismatch")
-        return WeylEndo(self.algebra, [self.apply(im) for im in other.images])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylEndo)
-            and self.algebra == other.algebra
-            and self.images == other.images
-        )
-
-    def __repr__(self):
-        return "WeylEndo(" + ", ".join(im.to_text() for im in self.images) + ")"
+    compose = Endo.compose  # own attribute, so it can be wrapped per class
 
 
 def inverse_degree_bound(endo: WeylEndo) -> int:
@@ -419,13 +312,7 @@ def _random_poly_nvars(rng: random.Random, ring: Ring, nvars: int, max_degree: i
         exps = [0] * nvars
         for _ in range(rng.randint(1, max_degree)):
             exps[rng.randrange(nvars)] += 1
-        if ring.kind == "Fp":
-            c = rng.randint(1, ring.p - 1)
-        elif ring.kind == "Q":
-            c = ring.of_int(rng.choice([1, -1, 2, -2]))
-        else:
-            c = rng.choice([1, -1])
-        acc = acc + Poly.monomial(ring, nvars, exps, c)
+        acc = acc + Poly.monomial(ring, nvars, exps, random_unit(rng, ring, (1, -1, 2, -2)))
     return acc
 
 
@@ -439,32 +326,19 @@ def generate_weyl_automorphism(
     max_degree is skipped.
     """
     rng = random.Random(seed)
-    endo = WeylEndo.identity(algebra)
-    done = 0
-    attempts = 0
-    while done < steps and attempts < 8 * steps + 8:
-        attempts += 1
-        kind = rng.choice(("shear", "dual-shear", "swap", "scale"))
-        if kind == "shear":
-            step = position_shear(algebra, _random_poly_nvars(rng, algebra.ring, algebra.n, 3))
-        elif kind == "dual-shear":
-            step = derivation_shear(algebra, _random_poly_nvars(rng, algebra.ring, algebra.n, 3))
-        elif kind == "swap":
-            step = pair_swap(algebra, rng.randint(1, algebra.n))
-        else:
-            if algebra.ring.kind == "Fp":
-                u = rng.randint(1, algebra.ring.p - 1)
-            elif algebra.ring.kind == "Q":
-                u = algebra.ring.of_int(rng.choice([1, -1, 2]))
-            else:
-                u = rng.choice([1, -1])
-            step = pair_scaling(algebra, rng.randint(1, algebra.n), u)
-        candidate = step.compose(endo)
-        if max_degree is not None and candidate.degree() > max_degree:
-            continue
-        endo = candidate
-        done += 1
-    return endo
+    ring, n = algebra.ring, algebra.n
+
+    def scale():
+        u = random_unit(rng, ring, (1, -1, 2))
+        return pair_scaling(algebra, rng.randint(1, n), u)
+
+    draws = {
+        "shear": lambda: position_shear(algebra, _random_poly_nvars(rng, ring, n, 3)),
+        "dual-shear": lambda: derivation_shear(algebra, _random_poly_nvars(rng, ring, n, 3)),
+        "swap": lambda: pair_swap(algebra, rng.randint(1, n)),
+        "scale": scale,
+    }
+    return compose_random_steps(WeylEndo.identity(algebra), rng, steps, max_degree, draws)
 
 
 def central_monomial(algebra: WeylAlgebra, g: Iterable[int], d: Iterable[int]) -> WeylElement:
@@ -562,66 +436,16 @@ def center_slice_check(algebra: WeylAlgebra, degree_cap: int) -> CenterSliceRepo
     )
 
 
-def _monomial_image(endo: WeylEndo, key: TermKey, cache: dict) -> WeylElement:
-    """Image of a normal-form monomial, peeling one letter at a time."""
-    alg = endo.algebra
-    if key in cache:
-        return cache[key]
-    g, d = key
-    j = next((k for k in range(alg.n - 1, -1, -1) if d[k] > 0), None)
-    if j is not None:
-        pred = (g, tuple(e - (1 if k == j else 0) for k, e in enumerate(d)))
-        out = _monomial_image(endo, pred, cache) * endo.images[j]
-    else:
-        j = next((k for k in range(alg.n - 1, -1, -1) if g[k] > 0), None)
-        if j is None:
-            out = alg.one()
-        else:
-            pred = (tuple(e - (1 if k == j else 0) for k, e in enumerate(g)), d)
-            out = _monomial_image(endo, pred, cache) * endo.images[alg.n + j]
-    cache[key] = out
-    return out
-
-
-def inverse_search(
-    endo: WeylEndo, degree_cap: int, _cache: dict | None = None
-) -> tuple["WeylEndo | None", int | None]:
+def inverse_search(endo: WeylEndo, degree_cap: int) -> tuple["WeylEndo | None", int | None]:
     """Search for an inverse with image degrees <= degree_cap.
 
-    Because the endomorphism is linear over the monomial basis, the equations
-    endo(psi(Y_i)) = Y_i are linear in psi's unknown coefficients; they are
-    solved degree cap by degree cap (the coefficient matrix for cap D is a
-    sub-matrix of the one for D+1, so images are cached across caps).  A
+    One linear solve per degree cap (see :meth:`Endo.inverse_systems`); a
     solution is relation-verified and checked two-sided before being
     returned as (inverse, degree at which it was found); exhaustion returns
     (None, None).
     """
-    alg = endo.algebra
-    ring = alg.ring
-    if not ring.is_field():
-        raise ValueError("inverse search needs field coefficients")
-    cache = _cache if _cache is not None else {}
-    targets = alg.generators()
-    for cap in range(1, degree_cap + 1):
-        basis = slice_monomials(alg, cap)
-        columns = [_monomial_image(endo, key, cache).terms for key in basis]
-        row_keys = sorted({rk for col in columns for rk in col} | {
-            rk for t in targets for rk in t.terms
-        })
-        rows = [[col.get(rk, ring.zero()) for col in columns] for rk in row_keys]
-        rhs = [[t.terms.get(rk, ring.zero()) for rk in row_keys] for t in targets]
-        solutions = solve_many(ring, rows, rhs)
-        if any(sol is None for sol in solutions):
-            continue
-        images = []
-        for sol in solutions:
-            im = alg.zero()
-            for c, key in zip(sol, basis):
-                if not ring.is_zero(c):
-                    im = im + WeylElement(alg, {key: c})
-            images.append(im)
-        inverse = WeylEndo(alg, images)  # raises RelationError on a bad solve
-        if not endo.compose(inverse).is_identity() or not inverse.compose(endo).is_identity():
-            raise AssertionError("one-sided inverse failed the two-sided check (internal bug)")
-        return inverse, cap
+    for cap, rows, rhs, basis in endo.inverse_systems(degree_cap):
+        inverse = endo.checked_inverse(basis, solve_many(endo.ring, rows, rhs))
+        if inverse is not None:
+            return inverse, cap
     return None, None

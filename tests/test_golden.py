@@ -1,0 +1,107 @@
+"""Golden outputs: CLI JSON reports and generator results, compared byte for byte.
+
+``tests/golden/`` holds the endomorphism files under ``inputs/``, one
+``<case>.json`` report per CLI case below and ``generators.txt`` with the
+``repr`` of seeded generator outputs.  The files pin what the code prints, so
+a refactor that should not change behaviour must leave them as they are.
+After an intended change of output, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from canonalg.cli import main
+from canonalg.poisson import PoissonContext, generate_symplectomorphism
+from canonalg.rings import GF, QQ
+from canonalg.weyl import WeylAlgebra, generate_central_perturbation, generate_weyl_automorphism
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _input(name: str) -> str:
+    return str(GOLDEN / "inputs" / f"{name}.endo")
+
+
+# case name -> (argv without --json, expected exit code)
+CASES = {
+    "check-symplectic-Q": (["check-symplectic", "--input", _input("poisson-Q")], 0),
+    "check-symplectic-F5": (["check-symplectic", "--input", _input("poisson-F5"), "--seed", "7"], 0),
+    "check-weyl-endo-F3": (["check-weyl-endo", "--input", _input("weyl-F3")], 0),
+    "check-weyl-endo-bad-Q": (["check-weyl-endo", "--input", _input("weyl-bad-Q")], 0),
+    "reduce-F3": (["reduce", "--input", _input("weyl-F3")], 0),
+    "reduce-F5-n2": (["reduce", "--input", _input("weyl-F5-n2")], 0),
+    "reduce-pert-F5": (["reduce", "--input", _input("weyl-pert-F5")], 0),
+    "invert-poisson-Q": (["invert", "--input", _input("poisson-Q")], 0),
+    "invert-poly-Q": (["invert", "--input", _input("poly-Q")], 0),
+    "invert-poly-F3-cap1": (["invert", "--input", _input("poly-F3"), "--degree-cap", "1"], 0),
+    "invert-deficit-F3": (["invert", "--input", _input("poly-deficit-F3")], 0),
+    "invert-weyl-Q": (["invert-weyl", "--input", _input("weyl-Q")], 0),
+    "invert-weyl-F5-n2": (["invert-weyl", "--input", _input("weyl-F5-n2")], 0),
+    "invert-weyl-pert-F5": (["invert-weyl", "--input", _input("weyl-pert-F5")], 0),
+    "check-instance-CJC-F3": (["check-instance", "--tag", "CJC", "--input", _input("poly-F3")], 0),
+    "check-instance-NJC-deficit-F3": (
+        ["check-instance", "--tag", "NJC", "--input", _input("poly-deficit-F3")],
+        1,
+    ),
+    "check-instance-CPC-F5": (["check-instance", "--tag", "CPC", "--input", _input("poisson-F5")], 0),
+    "check-instance-NPC-Q": (["check-instance", "--tag", "NPC", "--input", _input("poisson-Q")], 0),
+    "check-instance-CDC-F3": (["check-instance", "--tag", "CDC", "--input", _input("weyl-F3")], 0),
+    "check-instance-CDC-Q": (["check-instance", "--tag", "CDC", "--input", _input("weyl-Q")], 0),
+    "check-instance-NDC-deficit-F3": (
+        ["check-instance", "--tag", "NDC", "--input", _input("weyl-deficit-F3")],
+        1,
+    ),
+    "center-slice-F3": (["center-slice", "--ring", "F3", "--n", "1", "--degree-cap", "6"], 0),
+    "center-slice-F2-n2": (["center-slice", "--ring", "F2", "--n", "2", "--degree-cap", "4"], 0),
+    "kraus": (["kraus", "--p-max", "200"], 0),
+    "suite": (["suite", "--p-max", "200", "--seed", "3"], 0),
+    "probe-chain-F5-n2": (["probe-chain", "--input", _input("weyl-F5-n2")], 0),
+    "probe-chain-pert-F5": (["probe-chain", "--input", _input("weyl-pert-F5")], 0),
+}
+
+
+def generator_lines() -> list[str]:
+    lines = []
+    for ring in (GF(2), GF(3), GF(5), QQ):
+        for n in (1, 2):
+            for seed in (0, 1, 2):
+                endo = generate_weyl_automorphism(WeylAlgebra(ring, n), seed, steps=3, max_degree=3)
+                lines.append(f"generate_weyl_automorphism {ring} n={n} seed={seed}: {endo!r}")
+                endo = generate_symplectomorphism(PoissonContext(ring, n), seed, steps=3, max_degree=3)
+                lines.append(f"generate_symplectomorphism {ring} n={n} seed={seed}: {endo!r}")
+                if ring.characteristic():
+                    endo = generate_central_perturbation(WeylAlgebra(ring, n), seed)
+                    lines.append(f"generate_central_perturbation {ring} n={n} seed={seed}: {endo!r}")
+    return lines
+
+
+def _run(case: str, out: Path) -> int:
+    argv, _ = CASES[case]
+    return main(argv + ["--json", str(out)])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_report_matches_golden(case, tmp_path):
+    out = tmp_path / "report.json"
+    assert _run(case, out) == CASES[case][1]
+    assert out.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()
+
+
+def test_generators_match_golden():
+    text = "\n".join(generator_lines()) + "\n"
+    assert text == (GOLDEN / "generators.txt").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for name in CASES:
+        code = _run(name, GOLDEN / f"{name}.json")
+        print(f"{name}: exit {code}", file=sys.stderr)
+    (GOLDEN / "generators.txt").write_text("\n".join(generator_lines()) + "\n", encoding="utf-8")

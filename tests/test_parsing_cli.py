@@ -225,3 +225,29 @@ def test_cli_report_envelope_fields(tmp_path):
     assert report["command"] == "reduce"
     assert report["seed"] == 42
     assert len(report["input_digest"]) == 64
+
+
+def test_cli_deeply_nested_input_exits_2(tmp_path, capsys):
+    f = write(tmp_path, "deep.endo", "ring=F2 kind=poly m=1\nX1 -> " + " + ".join(["X1"] * 3000) + "\n")
+    assert main(["invert", "--input", f]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_cli_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
+    import canonalg.cli as cli
+    from canonalg.reduction import CenterReductionError
+
+    def broken(args):
+        raise CenterReductionError("p-th power is not central")
+
+    monkeypatch.setitem(cli._HANDLERS, "kraus", broken)
+    out = tmp_path / "r.json"
+    assert main(["kraus", "--json", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["internal error: CenterReductionError: p-th power is not central"]
+    assert not out.exists()
+
+
+def test_cli_unwritable_report_path_exits_2(tmp_path, capsys):
+    assert main(["kraus", "--p-max", "10", "--json", str(tmp_path / "missing-dir" / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

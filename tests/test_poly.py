@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from canonalg.poly import Poly, PolyEndo, PolyMatrix, monomial_count, monomials_upto
-from canonalg.rings import GF, QQ, ZZ
+from canonalg.rings import GF, QQ, ZZ, NonUnitError
 
 from util import det_permutation_sum, random_poly
 
@@ -213,3 +214,19 @@ def test_text_rendering():
     f = x1**2 - x2.scale(QQ.of_int(3)) + Poly.one(QQ, 2)
     assert f.to_text() == "X1^2 - 3*X2 + 1"
     assert Poly.zero(QQ, 2).to_text() == "0"
+
+
+def test_coefficients_are_normalized_on_construction():
+    F5 = GF(5)
+    five_x = Poly.monomial(F5, 1, (1,), 5)
+    assert five_x.is_zero() and five_x.to_text() == "0"
+    seven_x, two_x = Poly.monomial(F5, 1, (1,), 7), Poly.monomial(F5, 1, (1,), 2)
+    assert seven_x == two_x and hash(seven_x) == hash(two_x)
+    assert seven_x.to_text() == "2*X1"
+    assert Poly.const(F5, 1, -1) == Poly.const(F5, 1, 4)
+    assert X(F5, 1, 1).scale(5).is_zero()
+    assert Poly.const(ZZ, 1, Fraction(4, 2)) == Poly.const(ZZ, 1, 2)
+    with pytest.raises(NonUnitError):
+        Poly.const(ZZ, 1, Fraction(1, 2))
+    with pytest.raises(NonUnitError):
+        X(ZZ, 1, 1).scale(Fraction(1, 2))

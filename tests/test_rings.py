@@ -105,3 +105,12 @@ def test_ring_literals():
     with pytest.raises(ValueError):
         ring_from_text("GF(5)")
     assert str(GF(3)) == "F3"
+
+
+def test_coerce_maps_ints_and_fractions_into_the_ring():
+    assert GF(5).coerce(7) == 2 and GF(5).coerce(-1) == 4
+    assert GF(5).coerce(Fraction(1, 2)) == 3
+    assert QQ.coerce(3) == Fraction(3) and isinstance(QQ.coerce(3), Fraction)
+    assert ZZ.coerce(Fraction(6, 3)) == 2
+    with pytest.raises(NonUnitError):
+        ZZ.coerce(Fraction(1, 2))

@@ -285,3 +285,11 @@ def test_to_text_round_trips_magnitudes():
     A = WeylAlgebra(QQ, 2)
     a = A.generator(3) * A.generator(1) ** 2 - A.const(QQ.of_int(7))
     assert a.to_text() == "Y3*Y1^2 - 7"
+
+
+def test_weyl_coefficients_are_normalized_on_construction():
+    A = WeylAlgebra(GF(5), 1)
+    assert A.const(7) == A.const(2)
+    assert A.const(5).is_zero()
+    assert WeylElement(A, {((1,), (0,)): 10}).is_zero()
+    assert (A.generator(1) * A.const(7)).to_text() == "2*Y1"
