@@ -25,6 +25,7 @@ from .conjectures import (
     kraus_check,
 )
 from .parsing import ParseError, parse_endo_file
+from .poly import monomial_count
 from .poisson import PoissonContext, check_symplectic
 from .reduction import check_degree_preservation, induced_center_endo, check_center_symplectic
 from .report import build_report, dump_report, input_digest
@@ -82,6 +83,18 @@ def build_parser() -> argparse.ArgumentParser:
     add("suite", False, **{"--p-max": dict(type=int, default=1000)})
     add("probe-chain", True)
     return parser
+
+
+def _check_degree_cap(cap: int, nvars: int) -> None:
+    """Refuse a negative cap, or one whose monomial basis exceeds the budget."""
+    if cap < 0:
+        raise ValueError(f"--degree-cap must be >= 0, got {cap}")
+    size = monomial_count(nvars, cap)
+    if size > _MONOMIAL_CAP:
+        raise ValueError(
+            f"--degree-cap {cap} needs {size} monomials in {nvars} variables, "
+            f"over the budget of {_MONOMIAL_CAP}"
+        )
 
 
 def _load_file(args) -> tuple[str, bytes]:
@@ -175,6 +188,7 @@ def _run_invert(args):
         endo = ef.poly_endo()
         bound, search, decide = gabber_degree_bound(endo), inverse_search_poly, decide_poly_automorphism
     if args.degree_cap is not None:
+        _check_degree_cap(args.degree_cap, len(endo.images))
         inverse, found = search(endo, args.degree_cap)
         searched = args.degree_cap
     else:
@@ -209,6 +223,7 @@ def _run_check_instance(args):
 def _run_center_slice(args):
     ring = ring_from_text(args.ring)
     algebra = WeylAlgebra(ring, args.n)
+    _check_degree_cap(args.degree_cap, 2 * args.n)
     rec = center_slice_check(algebra, args.degree_cap)
     payload = {
         "ring": str(ring),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, Sequence
 
+from .linalg import scatter_rows
 from .rings import Ring
 
 Exponents = tuple[int, ...]
@@ -373,7 +374,7 @@ class Endo:
             basis = monomials_upto(len(targets), cap)
             columns = [self._monomial_image(b, cache).terms for b in basis]
             row_keys = sorted({rk for col in columns for rk in col} | {rk for t in targets for rk in t.terms})
-            rows = [[col.get(rk, zero) for col in columns] for rk in row_keys]
+            rows = scatter_rows(columns, row_keys, zero)
             rhs = [[t.terms.get(rk, zero) for rk in row_keys] for t in targets]
             yield cap, rows, rhs, basis
 

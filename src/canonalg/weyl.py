@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .linalg import matrix_rank, solve_many
+from .linalg import matrix_rank, scatter_rows, solve_many
 from .poly import Endo, Poly, Terms, compose_random_steps, default_names, monomials_upto, random_unit
 from .rings import Ring
 
@@ -421,9 +421,7 @@ def center_slice_check(algebra: WeylAlgebra, degree_cap: int) -> CenterSliceRepo
                 stacked[(gi,) + tkey] = v  # tag rows by generator index
         columns.append(stacked)
         row_keys.update(stacked.keys())
-    ordered_rows = sorted(row_keys)
-    rows = [[col.get(rk, ring.zero()) for col in columns] for rk in ordered_rows]
-    rank = matrix_rank(ring, rows) if rows else 0
+    rank = matrix_rank(ring, scatter_rows(columns, sorted(row_keys), ring.zero()))
     dimension_found = len(basis) - rank
     contained = all(
         is_central(WeylElement(algebra, {key: ring.one()})) for key in expected

@@ -251,3 +251,33 @@ def test_cli_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
 def test_cli_unwritable_report_path_exits_2(tmp_path, capsys):
     assert main(["kraus", "--p-max", "10", "--json", str(tmp_path / "missing-dir" / "r.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_negative_degree_cap_exits_2(tmp_path, capsys):
+    w = write(tmp_path, "shear.endo", SHEAR_WEYL)
+    out = tmp_path / "r.json"
+    assert main(["invert-weyl", "--input", w, "--degree-cap", "-3", "--json", str(out)]) == 2
+    assert "--degree-cap must be >= 0" in capsys.readouterr().err
+    assert main(["center-slice", "--ring", "F2", "--n", "1", "--degree-cap", "-2", "--json", str(out)]) == 2
+    assert "--degree-cap must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    # cap 0 is a legitimate, empty search
+    assert main(["invert-weyl", "--input", w, "--degree-cap", "0"]) == 0
+
+
+def test_cli_degree_cap_over_monomial_budget_exits_2(tmp_path, capsys):
+    # The budget is 4000 basis monomials: C(87 + 2, 2) = 3916 in two variables
+    # is within it, C(88 + 2, 2) = 4005 is not.  This map's inverse is found at
+    # cap 2, so the largest allowed cap stays cheap.
+    g = write(tmp_path, "g.endo", "ring=F3 kind=poly m=2\nX1 -> X1 + X2^2\nX2 -> X2\n")
+    assert main(["invert", "--input", g, "--degree-cap", "87"]) == 0
+    capsys.readouterr()
+    assert main(["invert", "--input", g, "--degree-cap", "88"]) == 2
+    assert "4005 monomials in 2 variables" in capsys.readouterr().err
+    w = write(tmp_path, "shear.endo", SHEAR_WEYL)
+    assert main(["invert-weyl", "--input", w, "--degree-cap", "88"]) == 2
+    assert "4005 monomials in 2 variables" in capsys.readouterr().err
+    # center-slice counts 2n = 4 variables: C(16 + 4, 4) = 4845
+    assert main(["center-slice", "--ring", "F2", "--n", "2", "--degree-cap", "16"]) == 2
+    assert "4845 monomials in 4 variables" in capsys.readouterr().err
+    assert main(["invert-weyl", "--input", w, "--degree-cap", str(10**12)]) == 2
