@@ -39,7 +39,9 @@ def inverse_search_poly(endo: PolyEndo, degree_cap: int) -> tuple[PolyEndo | Non
     being returned.
     """
     for cap, rows, rhs, basis in endo.inverse_systems(degree_cap):
-        inverse = endo.checked_inverse(basis, solve_many(endo.ring, rows, rhs))
+        solutions = solve_many(endo.ring, rows, rhs)
+        del rows, rhs  # free this cap's dense system before the next is built
+        inverse = endo.checked_inverse(basis, solutions)
         if inverse is not None:
             return inverse, cap
     return None, None

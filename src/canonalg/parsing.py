@@ -11,7 +11,9 @@ Expression grammar (whitespace insignificant, no implicit multiplication):
 Variables are ``X1..Xm`` for polynomial input and ``Y1..Y2n`` for Weyl input.
 Weyl expressions are parsed as noncommutative words: products evaluate left
 to right through the normal-ordering multiplication, so any input word lands
-in canonical form on ingestion.
+in canonical form on ingestion.  Evaluation refuses, with a ``ParseError``,
+any product or power step whose operands' term counts multiply past
+``TERM_PAIR_BUDGET``, before forming it.
 
 An endomorphism file is a ``key=value`` header line followed by one
 ``Var -> expression`` mapping per generator, in generator order:
@@ -164,6 +166,33 @@ def _collect_vars(ast, out: set):
         _collect_vars(ast[1], out)
 
 
+# The most term pairs (the product of the operands' term counts) that one
+# product or one step of a power may multiply while an expression is
+# evaluated.  A product at the budget takes up to about a second over Q; a
+# few bytes such as (X1 + X2 + 1)^400 would otherwise ask for minutes.
+TERM_PAIR_BUDGET = 100_000
+
+
+def _product(a, b):
+    if len(a.terms) * len(b.terms) > TERM_PAIR_BUDGET:
+        raise ParseError(
+            f"a product of {len(a.terms)} by {len(b.terms)} terms exceeds the budget of {TERM_PAIR_BUDGET} term pairs"
+        )
+    return a * b
+
+
+def _power(base, k: int):
+    """base^k by repeated squaring, each product checked before it is computed."""
+    result = base._one()
+    while k:
+        if k & 1:
+            result = _product(result, base)
+        k >>= 1
+        if k:
+            base = _product(base, base)
+    return result
+
+
 def _eval(ast, const, var):
     kind = ast[0]
     if kind == "num":
@@ -177,9 +206,9 @@ def _eval(ast, const, var):
     if kind == "neg":
         return -_eval(ast[1], const, var)
     if kind == "mul":
-        return _eval(ast[1], const, var) * _eval(ast[2], const, var)
+        return _product(_eval(ast[1], const, var), _eval(ast[2], const, var))
     if kind == "pow":
-        return _eval(ast[1], const, var) ** ast[2]
+        return _power(_eval(ast[1], const, var), ast[2])
     raise AssertionError(f"unknown AST node {kind!r}")
 
 

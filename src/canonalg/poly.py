@@ -16,6 +16,7 @@ monomial-image caching and the linear systems of the inverse search).
 from __future__ import annotations
 
 import random
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import scatter_rows
@@ -47,6 +48,17 @@ def monomial_count(nvars: int, max_degree: int) -> int:
     from math import comb
 
     return comb(max_degree + nvars, nvars)
+
+
+def reduce_sums(ring: Ring, sums: dict) -> dict:
+    """Coefficients summed as plain ints (F_p), ``Fraction`` (Q) or ints (Z)
+    as ring elements: one reduction mod p per key over F_p, none otherwise.
+
+    The product and substitution kernels accumulate without ``Ring`` calls
+    and reduce once here; zeros are left for ``_make`` to drop.
+    """
+    p = ring.p
+    return {key: c % p for key, c in sums.items()} if p else sums
 
 
 class Terms:
@@ -240,14 +252,14 @@ class Poly(Terms):
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        ring = self.ring
-        add, mul, zero = ring.add, ring.mul, ring.zero()
         out: dict[Exponents, object] = {}
+        get = out.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = add(out.get(e, zero), mul(c1, c2))
-        return self._make(out)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return self._make(reduce_sums(self.ring, out))
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative with respect to the i-th variable (1-based)."""
@@ -335,13 +347,12 @@ class Endo:
     def _apply(self, f, cache: dict):
         if f._space() != self._space():
             raise ValueError("element from a different space than the endomorphism")
-        ring = self.ring
-        add, mul, zero = ring.add, ring.mul, ring.zero()
         out: dict = {}
+        get = out.get
         for key, c in f.terms.items():
             for k, v in self._monomial_image(f._flat(key), cache).terms.items():
-                out[k] = add(out.get(k, zero), mul(c, v))
-        return f._make(out)
+                out[k] = get(k, 0) + c * v
+        return f._make(reduce_sums(self.ring, out))
 
     def apply(self, f):
         """Image of an element: the sum of its terms' monomial images."""
@@ -377,6 +388,7 @@ class Endo:
             rows = scatter_rows(columns, row_keys, zero)
             rhs = [[t.terms.get(rk, zero) for rk in row_keys] for t in targets]
             yield cap, rows, rhs, basis
+            del rows, rhs  # so that two caps' dense systems are never alive at once
 
     def checked_inverse(self, basis: list, solutions: list):
         """The inverse read off one cap's solutions, None if a system had none.

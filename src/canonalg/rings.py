@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 
 class NonUnitError(ArithmeticError):
@@ -30,7 +31,15 @@ def is_prime(m: int) -> bool:
 
 
 def primes_upto(bound: int) -> list[int]:
-    return [m for m in range(2, bound + 1) if is_prime(m)]
+    """The primes <= bound, by the sieve of Eratosthenes."""
+    if bound < 2:
+        return []
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[0] = sieve[1] = 0
+    for d in range(2, isqrt(bound) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, bound + 1, d)))
+    return [m for m, flag in enumerate(sieve) if flag]
 
 
 @dataclass(frozen=True)

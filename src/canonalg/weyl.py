@@ -17,23 +17,24 @@ position part of the right factor,
         = sum over l <= min(d1, g2) of
           binom(d1, l) * falling(g2, l) * x^(g1+g2-l) d^(d1+d2-l)
 
-with binomials and falling factorials computed as exact integers and then
-reduced into the coefficient ring, so characteristic-p vanishing happens on
-its own.  A worked instance over Q with n = 1 (writing x = Y_2, d = Y_1):
+with the weights binom(d1, l) * falling(g2, l) computed as exact integers and
+reduced mod p over F_p, so characteristic-p vanishing happens on its own; a
+weight that vanishes is dropped before its term is formed.  A worked
+instance over Q with n = 1 (writing x = Y_2, d = Y_1):
 
     d^2 * x^2 = x^2 d^2 + 4 x d + 2
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from operator import add
 from typing import Iterable, Sequence
 
 from .linalg import matrix_rank, scatter_rows, solve_many
-from .poly import Endo, Poly, Terms, compose_random_steps, default_names, monomials_upto, random_unit
+from .poly import Endo, Poly, Terms, compose_random_steps, default_names, monomials_upto, random_unit, reduce_sums
 from .rings import Ring
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -92,13 +93,6 @@ class WeylAlgebra:
         return [self.generator(i) for i in range(1, self.ngens + 1)]
 
 
-def _falling(b: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= b - t
-    return out
-
-
 class WeylElement(Terms):
     """Normal-ordered element: exponent pair (position, derivation) -> coefficient."""
 
@@ -148,30 +142,56 @@ class WeylElement(Terms):
     # -- multiplication ------------------------------------------------------------
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        """Normal-ordered product via the operator Leibniz rule (see module doc)."""
+        """Normal-ordered product via the operator Leibniz rule (see module doc).
+
+        Sums accumulate as plain ints or ``Fraction`` and are reduced once
+        per key; weights that vanish mod p are never expanded.
+        """
         self._check(other)
-        alg = self.algebra
-        ring = alg.ring
-        zero = ring.zero()
+        p = self.algebra.ring.p
         out: dict[TermKey, object] = {}
+        get = out.get
+        right = [(g2, d2, c2, any(g2)) for (g2, d2), c2 in other.terms.items()]
         for (g1, d1), c1 in self.terms.items():
-            for (g2, d2), c2 in other.terms.items():
-                base = ring.mul(c1, c2)
-                ranges = [range(min(a, b) + 1) for a, b in zip(d1, g2)]
-                for lam in itertools.product(*ranges):
-                    weight = 1
-                    for a, b, l in zip(d1, g2, lam):
-                        if l:
-                            weight *= comb(a, l) * _falling(b, l)
-                    c = ring.mul(base, ring.of_int(weight))
-                    if c == 0:
-                        continue
-                    key = (
-                        tuple(x + y - l for x, y, l in zip(g1, g2, lam)),
-                        tuple(x + y - l for x, y, l in zip(d1, d2, lam)),
-                    )
-                    out[key] = ring.add(out.get(key, zero), c)
-        return self._make(out)
+            lowers = any(d1)
+            for g2, d2, c2, raises in right:
+                c = c1 * c2
+                key = (tuple(map(add, g1, g2)), tuple(map(add, d1, d2)))
+                # coordinates where d^d1 meets x^g2 with some nonzero weight past l = 0
+                lowered = lowers and raises and [
+                    (i, w)
+                    for i, (a, b) in enumerate(zip(d1, g2))
+                    if a and b and len(w := _leibniz_weights(a, b, p)) > 1
+                ]
+                if not lowered:
+                    out[key] = get(key, 0) + c
+                    continue
+                expansion = [(key, c)]
+                for i, weights in lowered:
+                    expansion = [
+                        ((g[:i] + (g[i] - l,) + g[i + 1 :], d[:i] + (d[i] - l,) + d[i + 1 :]), cw * w)
+                        for (g, d), cw in expansion
+                        for l, w in weights
+                    ]
+                for key, cw in expansion:
+                    out[key] = get(key, 0) + cw
+        return self._make(reduce_sums(self.ring, out))
+
+
+@lru_cache(maxsize=1 << 16)
+def _leibniz_weights(a: int, b: int, p: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (l, binom(a, l) * falling(b, l)) for l <= min(a, b), reduced
+    mod p when p is nonzero, keeping only the nonzero weights; l = 0 comes
+    first with weight 1."""
+    out = []
+    w = 1
+    for l in range(min(a, b) + 1):
+        if l:  # binom(a, l) falling(b, l) from the weight at l - 1, exactly
+            w = w * (a - l + 1) * (b - l + 1) // l
+        reduced = w % p if p else w
+        if reduced:
+            out.append((l, reduced))
+    return tuple(out)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -443,7 +463,9 @@ def inverse_search(endo: WeylEndo, degree_cap: int) -> tuple["WeylEndo | None", 
     (None, None).
     """
     for cap, rows, rhs, basis in endo.inverse_systems(degree_cap):
-        inverse = endo.checked_inverse(basis, solve_many(endo.ring, rows, rhs))
+        solutions = solve_many(endo.ring, rows, rhs)
+        del rows, rhs  # free this cap's dense system before the next is built
+        inverse = endo.checked_inverse(basis, solutions)
         if inverse is not None:
             return inverse, cap
     return None, None

@@ -281,3 +281,39 @@ def test_cli_degree_cap_over_monomial_budget_exits_2(tmp_path, capsys):
     assert main(["center-slice", "--ring", "F2", "--n", "2", "--degree-cap", "16"]) == 2
     assert "4845 monomials in 4 variables" in capsys.readouterr().err
     assert main(["invert-weyl", "--input", w, "--degree-cap", str(10**12)]) == 2
+
+
+def test_cli_oversized_product_exits_2(tmp_path, capsys):
+    # 40 bytes of input whose expansion has 80,601 terms: refused before the
+    # first product past the term-pair budget is formed, over Q and for Weyl words
+    f = write(tmp_path, "big.endo", "ring=Q kind=poly m=2\nX1 -> (X1 + X2 + 1)^400\nX2 -> X2\n")
+    assert main(["check-instance", "--tag", "CJC", "--input", f]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "term pairs" in err
+    w = write(tmp_path, "big-weyl.endo", "ring=Q kind=weyl n=1\nY1 -> Y1\nY2 -> Y2 + (Y1 + Y2 + 1)^400\n")
+    assert main(["check-weyl-endo", "--input", w]) == 2
+    assert "term pairs" in capsys.readouterr().err
+
+
+def test_term_pair_budget_checks_each_product(monkeypatch):
+    import canonalg.parsing as parsing
+
+    monkeypatch.setattr(parsing, "TERM_PAIR_BUDGET", 6)
+    x1, x2 = Poly.variable(QQ, 2, 1), Poly.variable(QQ, 2, 2)
+    assert parse_poly("(X1 + X2) * (X1 + X2 + 1)", QQ, 2) == (x1 + x2) * (x1 + x2 + Poly.one(QQ, 2))
+    with pytest.raises(ParseError, match="a product of 2 by 4 terms"):
+        parse_poly("(X1 + X2) * (X1 + X2 + X1^2 + 1)", QQ, 2)
+    # (X1 + X2)^3 multiplies 2 x 2, then 2 x 3 pairs; the 4th power squares 3 terms
+    assert parse_poly("(X1 + X2)^3", QQ, 2) == (x1 + x2) ** 3
+    with pytest.raises(ParseError, match="a product of 3 by 3 terms"):
+        parse_poly("(X1 + X2)^4", QQ, 2)
+
+
+def test_large_exponents_of_small_operands_stay_accepted():
+    F = GF(10007)
+    x1 = Poly.variable(F, 1, 1)
+    ef = parse_endo_file("ring=F10007 kind=poly m=1\nX1 -> X1 - X1^10007\n")
+    assert ef.images[0] == x1 - Poly.monomial(F, 1, (10007,))
+    x = Poly.variable(QQ, 1, 1)
+    big = Poly.monomial(QQ, 1, (100000,))
+    assert parse_poly("(X1 + 1)^2 * X1^100000", QQ, 1) == (x + Poly.one(QQ, 1)) ** 2 * big

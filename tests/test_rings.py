@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from canonalg.rings import GF, QQ, ZZ, NonUnitError, Ring, is_prime, ring_from_text
+from canonalg.rings import GF, QQ, ZZ, NonUnitError, Ring, is_prime, primes_upto, ring_from_text
 
 
 def test_characteristic():
@@ -35,6 +35,11 @@ def test_factorial_is_unit_prime_field_table():
         ring = GF(p)
         for n in range(1, 11):
             assert ring.factorial_is_unit(n) == (p > n)
+
+
+def test_primes_upto_matches_trial_division():
+    for bound in (-3, 0, 1, 2, 3, 4, 25, 49, 97, 2000):
+        assert primes_upto(bound) == [m for m in range(2, bound + 1) if is_prime(m)]
 
 
 def test_arith_examples():
