@@ -14,9 +14,9 @@ inverses (deg^(m-1) for polynomial maps, deg^(2n-1) on the Weyl side).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import weyl as weylmod
-from .linalg import solve_many
 from .poly import Poly, PolyEndo, monomial_count
 from .poisson import PoissonContext, is_symplectic
 from .reduction import induced_center_endo, check_center_symplectic
@@ -34,17 +34,11 @@ def gabber_degree_bound(endo: PolyEndo) -> int:
 def inverse_search_poly(endo: PolyEndo, degree_cap: int) -> tuple[PolyEndo | None, int | None]:
     """Search for a compositional inverse with image degrees <= degree_cap.
 
-    One linear solve per degree cap, in increasing order (see
-    :meth:`Endo.inverse_systems`); any solution is checked two-sided before
+    One column echelon widened cap by cap, in increasing order (see
+    :meth:`Endo.inverse_search`); any solution is checked two-sided before
     being returned.
     """
-    for cap, rows, rhs, basis in endo.inverse_systems(degree_cap):
-        solutions = solve_many(endo.ring, rows, rhs)
-        del rows, rhs  # free this cap's dense system before the next is built
-        inverse = endo.checked_inverse(basis, solutions)
-        if inverse is not None:
-            return inverse, cap
-    return None, None
+    return endo.inverse_search(degree_cap)
 
 
 @dataclass(frozen=True)
@@ -58,6 +52,7 @@ class AutomorphismDecision:
     inverse: object | None = None
 
 
+@lru_cache(maxsize=256)  # called once per decision with a handful of distinct keys
 def _max_degree_within(nvars: int, monomial_cap: int) -> int:
     d = 0
     while monomial_count(nvars, d + 1) <= monomial_cap:

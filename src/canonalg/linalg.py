@@ -1,79 +1,153 @@
-"""Sparse exact elimination over a field (Q or F_p).
+"""Sparse exact column echelon over a field (Q or F_p).
 
-Matrices arrive as lists of dense row lists -- the form the inverse searches
-and the center-slice kernel pass in; :func:`scatter_rows` builds them from
-sparse column dicts.  Each row is turned into a dict of its nonzero entries
-and inserted into an echelon keyed by leading column: it is reduced by the
-echelon row of its leading column until that column is free, then scaled to
-a unit pivot and stored there, in the spirit of structured Gaussian
-elimination (LaMacchia-Odlyzko 1990) without its pruning pass.  The systems
-of the inverse search are about 1% nonzero, and only nonzero entries are
-touched.  Arithmetic is on plain ints mod p over F_p and on ``Fraction``
-over Q, with no ``Ring`` dispatch.
+A matrix is given column by column, each column a dict ``{row key: value}``
+of its nonzero entries -- the form in which the inverse search and the
+center-slice kernel produce them (the term dicts of monomial images and of
+commutators).  :class:`ColumnEchelon` takes the columns one at a time: a new
+column is reduced against the stored ones, and it is stored only if
+something is left, so the stored columns are the leftmost linearly
+independent ones.  Each stored column keeps a pivot row key, where it is 1
+and every later stored column is 0, and (when asked for) its combination of
+the original columns.  This is structured Gaussian elimination
+(LaMacchia-Odlyzko 1990) without its pruning pass, applied to columns; only
+nonzero entries are touched, with plain ints mod p over F_p and
+``Fraction`` over Q, no ``Ring`` dispatch.
 
-The pivot columns of any echelon form are the leftmost linearly independent
-columns, so they do not depend on the order in which rows are inserted;
-with free unknowns set to zero, the solution of a consistent system is
-therefore the same as dense Gauss-Jordan elimination gives.
+Columns can be added after a solve, so a search that widens its basis step
+by step eliminates each column once.  A right-hand side is solved by
+reducing it the same way: a nonzero remainder means no solution, otherwise
+the pivot factors times the stored combinations give x.  x lies on the
+independent columns only, so it is the solution dense Gauss-Jordan
+elimination gives with free unknowns set to zero.
+
+:func:`solve_many` and :func:`matrix_rank` are the same core behind dense
+row-list signatures.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .rings import Ring
 
 
-def scatter_rows(columns: Sequence[dict], row_keys: Sequence, zero) -> list[list]:
-    """Dense rows, one per row key, from one ``{row key: value}`` dict per column."""
-    index = {rk: i for i, rk in enumerate(row_keys)}
-    rows = [[zero] * len(columns) for _ in row_keys]
-    for c, col in enumerate(columns):
-        for rk, v in col.items():
-            rows[index[rk]][c] = v
-    return rows
+class ColumnEchelon:
+    """Column echelon of the columns added so far, in order.
 
-
-def _modulus(ring: Ring) -> int:
-    """p over F_p, 0 over Q; Z is refused."""
-    if not ring.is_field():
-        raise ValueError("elimination needs field coefficients")
-    return ring.characteristic()
-
-
-def _nonzeros(row: Sequence) -> dict:
-    return {j: row[j] for j in compress(range(len(row)), row)}
-
-
-def _insert(echelon: dict, row: dict, width: int, p: int) -> dict:
-    """Reduce ``row`` until its leading column is free and store it there.
-
-    ``echelon`` maps each pivot column (< width) to its row, whose entries all
-    lie at or right of that column and whose pivot is 1.  Columns >= width
-    (right-hand sides) are carried along but never pivoted on.  Returns what
-    is left of the row when nothing of it remains left of ``width``, else {}.
+    Stored column ``j`` has the pivot row key ``pivots[j]``, holds 1 there,
+    and is 0 at the pivots of the stored columns before it.  With
+    ``combinations`` on, ``combos[j]`` maps original column indices to the
+    coefficients that give stored column ``j``.
     """
-    while row:
-        lead = min(row)
-        if lead >= width:
-            return row
-        f, pivot_row = row[lead], echelon.get(lead)
-        if pivot_row is None:
-            inv = pow(f, -1, p) if p else 1 / Fraction(f)
-            echelon[lead] = {j: (inv * v) % p if p else inv * v for j, v in row.items()}
-            return {}
-        get = row.get
-        for j, v in pivot_row.items():
-            w = get(j, 0) - f * v
-            if p:
-                w %= p
-            if w:
-                row[j] = w
-            else:
-                del row[j]
-    return row
+
+    __slots__ = ("p", "added", "pivots", "columns", "combos", "_position")
+
+    def __init__(self, ring: Ring, combinations: bool = True):
+        if not ring.is_field():
+            raise ValueError("elimination needs field coefficients")
+        self.p = ring.characteristic()  # 0 over Q
+        self.added = 0
+        self.pivots: list = []
+        self.columns: list[dict] = []
+        self.combos: list[dict] | None = [] if combinations else None
+        self._position: dict = {}  # pivot row key -> stored column index
+
+    @property
+    def rank(self) -> int:
+        return len(self.columns)
+
+    def _reduce(self, column: dict, combo: dict | None) -> dict:
+        """``column`` cleared at every pivot, stored column by stored column.
+
+        Stored column j is 0 at the pivots before its own, so taking the
+        pivots in stored order clears each one once.  ``combo`` receives
+        minus the factor times each stored combination used.  A column that
+        meets no pivot is returned as it is, otherwise a reduced copy.
+        """
+        p, position, columns, combos = self.p, self._position, self.columns, self.combos
+        todo = [position[k] for k in column if k in position]
+        if not todo:
+            return column
+        heapify(todo)
+        v = dict(column)
+        get = v.get
+        while todo:
+            j = heappop(todo)
+            f = get(self.pivots[j])
+            if not f:  # cancelled, or queued twice
+                continue
+            for k, c in columns[j].items():
+                old = get(k)
+                w = (old or 0) - f * c
+                if p:
+                    w %= p
+                if w:
+                    if old is None and k in position:
+                        heappush(todo, position[k])
+                    v[k] = w
+                elif old is not None:
+                    del v[k]
+            if combo is not None:
+                cget = combo.get
+                for i, c in combos[j].items():
+                    w = cget(i, 0) - f * c
+                    if p:
+                        w %= p
+                    if w:
+                        combo[i] = w
+                    else:
+                        del combo[i]
+        return v
+
+    def add(self, column: dict, hint=None) -> bool:
+        """Add the next column; True if it is independent of those before it.
+
+        The pivot is ``hint`` if that key is left in the reduced column, else
+        its first key left.  The choice changes only the fill-in, never the
+        rank or a solution.  A column that needs no reducing is stored as
+        given, so the caller must not change it afterwards (term dicts never
+        change).
+        """
+        index = self.added
+        self.added += 1
+        combo = {index: 1} if self.combos is not None else None
+        v = self._reduce(column, combo)
+        if not v:
+            return False
+        p = self.p
+        pivot = hint if hint in v else next(iter(v))
+        inv = pow(v[pivot], -1, p) if p else 1 / Fraction(v[pivot])
+        if inv != 1:
+            v = _scaled(v, inv, p)
+            combo = _scaled(combo, inv, p) if combo is not None else None
+        self._position[pivot] = len(self.columns)
+        self.pivots.append(pivot)
+        self.columns.append(v)
+        if combo is not None:
+            self.combos.append(combo)
+        return True
+
+    def solve(self, target: dict) -> dict | None:
+        """``{original column index: coefficient}`` with the columns summing
+        to ``target``, zero off the independent columns; None if none exists."""
+        if self.combos is None:
+            raise ValueError("solving needs an echelon that keeps combinations")
+        combo: dict = {}
+        if self._reduce(target, combo):
+            return None
+        p = self.p
+        return {i: -c % p if p else -c for i, c in combo.items()}
+
+
+def _scaled(v: dict, f, p: int) -> dict:
+    return {k: c * f % p for k, c in v.items()} if p else {k: c * f for k, c in v.items()}
+
+
+def _columns(rows: Sequence[Sequence]) -> list[dict]:
+    width = len(rows[0]) if rows else 0
+    return [{i: row[c] for i, row in enumerate(rows) if row[c]} for c in range(width)]
 
 
 def solve_many(ring: Ring, rows: Sequence[Sequence], rhs_columns: Sequence[Sequence]):
@@ -84,39 +158,26 @@ def solve_many(ring: Ring, rows: Sequence[Sequence], rhs_columns: Sequence[Seque
     right-hand side, or None where that system is inconsistent.  Free unknowns
     are set to zero.
     """
-    p = _modulus(ring)
+    echelon = ColumnEchelon(ring)
+    columns = _columns(rows)
+    for col in columns:
+        echelon.add(col)
     zero = ring.zero()
-    n_unknowns = len(rows[0]) if rows else 0
-    echelon: dict = {}
-    inconsistent: set = set()
-    for i, dense in enumerate(rows):
-        row = _nonzeros(dense)
-        for k, col in enumerate(rhs_columns):
-            if col[i]:
-                row[n_unknowns + k] = col[i]
-        inconsistent.update(_insert(echelon, row, n_unknowns, p))
-    pivots = sorted(echelon, reverse=True)
     solutions = []
-    for k in range(len(rhs_columns)):
-        if n_unknowns + k in inconsistent:
+    for b in rhs_columns:
+        x = echelon.solve({i: v for i, v in enumerate(b) if v})
+        if x is None:
             solutions.append(None)
             continue
-        x = [zero] * n_unknowns
-        for c in pivots:  # back substitution, rightmost pivot first
-            pivot_row = echelon[c]
-            s = pivot_row.get(n_unknowns + k, zero)
-            for j, v in pivot_row.items():
-                if c < j < n_unknowns:
-                    s -= v * x[j]
-            x[c] = s % p if p else s
-        solutions.append(x)
+        dense = [zero] * len(columns)
+        for i, c in x.items():
+            dense[i] = c
+        solutions.append(dense)
     return solutions
 
 
 def matrix_rank(ring: Ring, rows: Sequence[Sequence]) -> int:
-    p = _modulus(ring)
-    echelon: dict = {}
-    width = len(rows[0]) if rows else 0
-    for dense in rows:
-        _insert(echelon, _nonzeros(dense), width, p)
-    return len(echelon)
+    echelon = ColumnEchelon(ring, combinations=False)
+    for col in _columns(rows):
+        echelon.add(col)
+    return echelon.rank

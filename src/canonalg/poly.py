@@ -10,7 +10,7 @@ their images of the variables), jacobian matrices, and division-free
 determinants -- the commutative substrate everything else builds on.  Its
 two base classes are the core the Weyl side shares: :class:`Terms` (sparse
 term arithmetic and rendering) and :class:`Endo` (application, composition,
-monomial-image caching and the linear systems of the inverse search).
+monomial-image caching and the inverse search).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import random
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import scatter_rows
+from .linalg import ColumnEchelon
 from .rings import Ring
 
 Exponents = tuple[int, ...]
@@ -365,42 +365,51 @@ class Endo:
         cache = self._image_cache()
         return type(self)(*self._space(), [self._apply(im, cache) for im in other.images])
 
-    def inverse_systems(self, degree_cap: int):
-        """The linear systems of the inverse search, one per degree cap.
+    def inverse_search(self, degree_cap: int):
+        """Search for an inverse with image degrees <= degree_cap.
 
         The inverse's images are unknown combinations of the monomials of
         degree <= cap; applying this map to them is linear in the unknowns,
-        so ``self(psi(Y_i)) = Y_i`` is one system per cap with one right-hand
-        side per generator.  Yields ``(cap, rows, rhs, basis)``: rows indexed
-        by the sorted term keys that occur, one column per basis monomial
-        (flattened keys), monomial images cached across caps.
+        so ``self(psi(Y_i)) = Y_i`` is one linear system per generator, with
+        one column per basis monomial: the term dict of its image.  The
+        basis at cap D is a prefix of the one at D+1 (graded order), so one
+        column echelon serves every cap: each cap adds its new monomials'
+        images and solves the targets again.  Each column asks to pivot on
+        its own monomial: when the map's linear part is the identity, a
+        monomial's image usually holds the monomial (always for polynomial
+        maps without constant terms), so the echelon stays diagonal and no
+        column needs reducing.  Returns (inverse, degree at which it was
+        found), or (None, None) once the caps are exhausted.
         """
         ring = self.ring
         if not ring.is_field():
             raise ValueError("inverse search needs field coefficients")
-        targets = self._generators()
+        targets = [t.terms for t in self._generators()]
         cache = self._image_cache()
-        zero = ring.zero()
+        echelon = ColumnEchelon(ring)
+        unflat = self.images[0]._unflat
+        basis: list = []
         for cap in range(1, degree_cap + 1):
-            basis = monomials_upto(len(targets), cap)
-            columns = [self._monomial_image(b, cache).terms for b in basis]
-            row_keys = sorted({rk for col in columns for rk in col} | {rk for t in targets for rk in t.terms})
-            rows = scatter_rows(columns, row_keys, zero)
-            rhs = [[t.terms.get(rk, zero) for rk in row_keys] for t in targets]
-            yield cap, rows, rhs, basis
-            del rows, rhs  # so that two caps' dense systems are never alive at once
+            for b in monomials_upto(len(targets), cap)[len(basis) :]:
+                echelon.add(self._monomial_image(b, cache).terms, unflat(b))
+                basis.append(b)
+            inverse = self.checked_inverse(basis, [echelon.solve(t) for t in targets])
+            if inverse is not None:
+                return inverse, cap
+        return None, None
 
     def checked_inverse(self, basis: list, solutions: list):
         """The inverse read off one cap's solutions, None if a system had none.
 
-        The candidate is built through the subclass constructor (a Weyl one
-        verifies the relations) and must compose to the identity on both
-        sides; a failure there is an internal bug, never a verdict.
+        Each solution maps basis indices to coefficients.  The candidate is
+        built through the subclass constructor (a Weyl one verifies the
+        relations) and must compose to the identity on both sides; a failure
+        there is an internal bug, never a verdict.
         """
         if any(sol is None for sol in solutions):
             return None
         one = self.images[0]._one()
-        images = [one._make({one._unflat(b): c for b, c in zip(basis, sol)}) for sol in solutions]
+        images = [one._make({one._unflat(basis[i]): c for i, c in sol.items()}) for sol in solutions]
         inverse = type(self)(*self._space(), images)
         if not self.compose(inverse).is_identity() or not inverse.compose(self).is_identity():
             raise AssertionError("one-sided inverse failed the two-sided check (internal bug)")

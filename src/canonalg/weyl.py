@@ -33,7 +33,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Sequence
 
-from .linalg import matrix_rank, scatter_rows, solve_many
+from .linalg import ColumnEchelon
 from .poly import Endo, Poly, Terms, compose_random_steps, default_names, monomials_upto, random_unit, reduce_sums
 from .rings import Ring
 
@@ -430,8 +430,7 @@ def center_slice_check(algebra: WeylAlgebra, degree_cap: int) -> CenterSliceRepo
     basis = slice_monomials(algebra, degree_cap)
     expected = [key for key in basis if all(e % p == 0 for pair in key for e in pair)]
 
-    columns: list[dict[TermKey, object]] = []
-    row_keys: set[TermKey] = set()
+    echelon = ColumnEchelon(ring, combinations=False)
     for key in basis:
         elem = WeylElement(algebra, {key: ring.one()})
         stacked: dict[TermKey, object] = {}
@@ -439,10 +438,8 @@ def center_slice_check(algebra: WeylAlgebra, degree_cap: int) -> CenterSliceRepo
             c = commutator(elem, gen)
             for tkey, v in c.terms.items():
                 stacked[(gi,) + tkey] = v  # tag rows by generator index
-        columns.append(stacked)
-        row_keys.update(stacked.keys())
-    rank = matrix_rank(ring, scatter_rows(columns, sorted(row_keys), ring.zero()))
-    dimension_found = len(basis) - rank
+        echelon.add(stacked)
+    dimension_found = len(basis) - echelon.rank
     contained = all(
         is_central(WeylElement(algebra, {key: ring.one()})) for key in expected
     )
@@ -457,15 +454,9 @@ def center_slice_check(algebra: WeylAlgebra, degree_cap: int) -> CenterSliceRepo
 def inverse_search(endo: WeylEndo, degree_cap: int) -> tuple["WeylEndo | None", int | None]:
     """Search for an inverse with image degrees <= degree_cap.
 
-    One linear solve per degree cap (see :meth:`Endo.inverse_systems`); a
-    solution is relation-verified and checked two-sided before being
+    One column echelon widened cap by cap (see :meth:`Endo.inverse_search`);
+    a solution is relation-verified and checked two-sided before being
     returned as (inverse, degree at which it was found); exhaustion returns
     (None, None).
     """
-    for cap, rows, rhs, basis in endo.inverse_systems(degree_cap):
-        solutions = solve_many(endo.ring, rows, rhs)
-        del rows, rhs  # free this cap's dense system before the next is built
-        inverse = endo.checked_inverse(basis, solutions)
-        if inverse is not None:
-            return inverse, cap
-    return None, None
+    return endo.inverse_search(degree_cap)

