@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import weyl as weylmod
+from .linalg import solve_many
 from .poly import Poly, PolyEndo, monomial_count
 from .poisson import PoissonContext, is_symplectic
 from .reduction import induced_center_endo, check_center_symplectic
@@ -34,11 +35,11 @@ def gabber_degree_bound(endo: PolyEndo) -> int:
 def inverse_search_poly(endo: PolyEndo, degree_cap: int) -> tuple[PolyEndo | None, int | None]:
     """Search for a compositional inverse with image degrees <= degree_cap.
 
-    One column echelon widened cap by cap, in increasing order (see
-    :meth:`Endo.inverse_search`); any solution is checked two-sided before
-    being returned.
+    One sparse system widened cap by cap, solved by :func:`linalg.solve_many`
+    once per cap, in increasing order (see :meth:`Endo.inverse_search`); any
+    solution is checked two-sided before being returned.
     """
-    return endo.inverse_search(degree_cap)
+    return endo.inverse_search(degree_cap, solve_many)
 
 
 @dataclass(frozen=True)

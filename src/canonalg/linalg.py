@@ -1,11 +1,12 @@
-"""Sparse exact column echelon over a field (Q or F_p).
+"""Sparse exact column elimination over a field (Q or F_p).
 
-A matrix is given column by column, each column a dict ``{row key: value}``
-of its nonzero entries -- the form in which the inverse search and the
-center-slice kernel produce them (the term dicts of monomial images and of
-commutators).  :class:`ColumnEchelon` takes the columns one at a time: a new
-column is reduced against the stored ones, and it is stored only if
-something is left, so the stored columns are the leftmost linearly
+A matrix is a :class:`SparseMatrix`: columns appended one at a time, each a
+dict ``{row key: value}`` of its nonzero entries -- the form in which the
+inverse search and the center-slice kernel produce them (the term dicts of
+monomial images and of commutators).  :func:`solve_many` and
+:func:`matrix_rank` eliminate its columns in a :class:`ColumnEchelon` the
+matrix keeps: a new column is reduced against the stored ones and stored
+only if something is left, so the stored columns are the leftmost linearly
 independent ones.  Each stored column keeps a pivot row key, where it is 1
 and every later stored column is 0, and (when asked for) its combination of
 the original columns.  This is structured Gaussian elimination
@@ -13,22 +14,21 @@ the original columns.  This is structured Gaussian elimination
 nonzero entries are touched, with plain ints mod p over F_p and
 ``Fraction`` over Q, no ``Ring`` dispatch.
 
-Columns can be added after a solve, so a search that widens its basis step
-by step eliminates each column once.  A right-hand side is solved by
-reducing it the same way: a nonzero remainder means no solution, otherwise
-the pivot factors times the stored combinations give x.  x lies on the
-independent columns only, so it is the solution dense Gauss-Jordan
-elimination gives with free unknowns set to zero.
-
-:func:`solve_many` and :func:`matrix_rank` are the same core behind dense
-row-list signatures.
+Columns can be appended after a solve and each is eliminated once, so a
+search that widens its basis step by step pays for each column once.  A
+right-hand side is solved by reducing it the same way: a nonzero remainder
+means no solution, otherwise the pivot factors times the stored
+combinations give x.  x lies on the independent columns only, so it is the
+solution dense Gauss-Jordan elimination gives with free unknowns set to
+zero.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Sequence
 
 from .rings import Ring
 
@@ -101,14 +101,13 @@ class ColumnEchelon:
                         del combo[i]
         return v
 
-    def add(self, column: dict, hint=None) -> bool:
+    def add(self, column: dict) -> bool:
         """Add the next column; True if it is independent of those before it.
 
-        The pivot is ``hint`` if that key is left in the reduced column, else
-        its first key left.  The choice changes only the fill-in, never the
-        rank or a solution.  A column that needs no reducing is stored as
-        given, so the caller must not change it afterwards (term dicts never
-        change).
+        The pivot is the first key left in the reduced column; another choice
+        would change only the fill-in, never the rank or a solution.  A column
+        that needs no reducing is stored as given, so the caller must not
+        change it afterwards (term dicts never change).
         """
         index = self.added
         self.added += 1
@@ -117,7 +116,7 @@ class ColumnEchelon:
         if not v:
             return False
         p = self.p
-        pivot = hint if hint in v else next(iter(v))
+        pivot = next(iter(v))
         inv = pow(v[pivot], -1, p) if p else 1 / Fraction(v[pivot])
         if inv != 1:
             v = _scaled(v, inv, p)
@@ -145,39 +144,108 @@ def _scaled(v: dict, f, p: int) -> dict:
     return {k: c * f % p for k, c in v.items()} if p else {k: c * f for k, c in v.items()}
 
 
-def _columns(rows: Sequence[Sequence]) -> list[dict]:
-    width = len(rows[0]) if rows else 0
-    return [{i: row[c] for i, row in enumerate(rows) if row[c]} for c in range(width)]
+class SparseMatrix(Sequence):
+    """A matrix appended column by column, each column ``{row key: value}``
+    of its nonzero entries, with the echelon of the columns eliminated so far.
 
-
-def solve_many(ring: Ring, rows: Sequence[Sequence], rhs_columns: Sequence[Sequence]):
-    """Solve A x = b for several b sharing the matrix A.
-
-    ``rows`` is the matrix (n_rows x n_unknowns); ``rhs_columns`` holds each
-    right-hand side as a length-n_rows vector.  Returns one solution list per
-    right-hand side, or None where that system is inconsistent.  Free unknowns
-    are set to zero.
+    Read as a sequence, the matrix is its rows: one per row key, in sorted
+    order, over the keys of the columns and of the right-hand sides made by
+    :meth:`vector`, each row as long as there are columns.  Nothing dense is
+    built for that, so a dense reader (the dense oracle of the tests, or a
+    count of cells and nonzeros) reads the sparse matrix as it is.
     """
-    echelon = ColumnEchelon(ring)
-    columns = _columns(rows)
-    for col in columns:
-        echelon.add(col)
-    zero = ring.zero()
-    solutions = []
-    for b in rhs_columns:
-        x = echelon.solve({i: v for i, v in enumerate(b) if v})
-        if x is None:
-            solutions.append(None)
-            continue
-        dense = [zero] * len(columns)
-        for i, c in x.items():
-            dense[i] = c
-        solutions.append(dense)
-    return solutions
+
+    def __init__(self):
+        self.columns: list[dict] = []
+        self.echelon: ColumnEchelon | None = None
+        self._rhs_keys: set = set()
+        self._layout: tuple | None = None  # (columns read, row keys, nonzeros per row key)
+
+    def append(self, column: dict) -> None:
+        self.columns.append(column)
+
+    def vector(self, entries: dict) -> "_Column":
+        """A right-hand side ``{row key: value}`` (nonzero values), as a column
+        of this matrix's rows."""
+        self._rhs_keys.update(entries)
+        self._layout = None
+        return _Column(self, entries)
+
+    def eliminated(self, ring: Ring, combinations: bool = True) -> ColumnEchelon:
+        """The echelon, with every column appended so far added to it."""
+        if self.echelon is None:
+            self.echelon = ColumnEchelon(ring, combinations)
+        add = self.echelon.add
+        for column in self.columns[self.echelon.added :]:
+            add(column)
+        return self.echelon
+
+    def _rows(self) -> tuple:
+        if self._layout is None or self._layout[0] != len(self.columns):
+            nonzeros = Counter(k for column in self.columns for k in column)
+            self._layout = (len(self.columns), sorted(nonzeros.keys() | self._rhs_keys), nonzeros)
+        return self._layout
+
+    def __len__(self) -> int:
+        return len(self._rows()[1])
+
+    def __getitem__(self, i: int) -> "_Row":
+        _, keys, nonzeros = self._rows()
+        return _Row(self.columns, keys[i], nonzeros[keys[i]])
 
 
-def matrix_rank(ring: Ring, rows: Sequence[Sequence]) -> int:
-    echelon = ColumnEchelon(ring, combinations=False)
-    for col in _columns(rows):
-        echelon.add(col)
-    return echelon.rank
+class _Row(Sequence):
+    """Row ``key`` of a :class:`SparseMatrix`, read through its columns."""
+
+    __slots__ = ("columns", "key", "nonzeros")
+
+    def __init__(self, columns: list, key, nonzeros: int):
+        self.columns, self.key, self.nonzeros = columns, key, nonzeros
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, j: int):
+        return self.columns[j].get(self.key, 0)
+
+    def count(self, value) -> int:
+        if value == 0:
+            return len(self.columns) - self.nonzeros
+        return super().count(value)
+
+
+class _Column(Sequence):
+    """A right-hand side of a :class:`SparseMatrix`, read over its rows."""
+
+    __slots__ = ("matrix", "entries")
+
+    def __init__(self, matrix: SparseMatrix, entries: dict):
+        self.matrix, self.entries = matrix, entries
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __getitem__(self, i: int):
+        return self.entries.get(self.matrix._rows()[1][i], 0)
+
+    def count(self, value) -> int:
+        if value == 0:
+            return len(self) - len(self.entries)
+        return super().count(value)
+
+
+def solve_many(ring: Ring, matrix: SparseMatrix, rhs: Sequence[_Column]) -> list[dict | None]:
+    """Solve A x = b for each b in ``rhs`` (made by ``matrix.vector``).
+
+    Eliminates the columns appended since the last solve, then returns per
+    right-hand side ``{column index: coefficient}``, zero off the
+    independent columns, or None where that system is inconsistent.
+    """
+    echelon = matrix.eliminated(ring)
+    return [echelon.solve(b.entries) for b in rhs]
+
+
+def matrix_rank(ring: Ring, matrix: SparseMatrix) -> int:
+    """Rank of the columns appended so far (no combinations are kept when
+    this is the matrix's first elimination)."""
+    return matrix.eliminated(ring, combinations=False).rank

@@ -19,7 +19,7 @@ import random
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import ColumnEchelon
+from .linalg import SparseMatrix
 from .rings import Ring
 
 Exponents = tuple[int, ...]
@@ -365,7 +365,7 @@ class Endo:
         cache = self._image_cache()
         return type(self)(*self._space(), [self._apply(im, cache) for im in other.images])
 
-    def inverse_search(self, degree_cap: int):
+    def inverse_search(self, degree_cap: int, solve_many):
         """Search for an inverse with image degrees <= degree_cap.
 
         The inverse's images are unknown combinations of the monomials of
@@ -373,27 +373,24 @@ class Endo:
         so ``self(psi(Y_i)) = Y_i`` is one linear system per generator, with
         one column per basis monomial: the term dict of its image.  The
         basis at cap D is a prefix of the one at D+1 (graded order), so one
-        column echelon serves every cap: each cap adds its new monomials'
-        images and solves the targets again.  Each column asks to pivot on
-        its own monomial: when the map's linear part is the identity, a
-        monomial's image usually holds the monomial (always for polynomial
-        maps without constant terms), so the echelon stays diagonal and no
-        column needs reducing.  Returns (inverse, degree at which it was
-        found), or (None, None) once the caps are exhausted.
+        matrix serves every cap: each cap appends its new monomials' images
+        and ``solve_many`` (:func:`linalg.solve_many`, passed in by the
+        search entry points of ``weyl`` and ``conjectures``) eliminates only
+        those before solving the targets again.  Returns (inverse, degree at
+        which it was found), or (None, None) once the caps are exhausted.
         """
         ring = self.ring
         if not ring.is_field():
             raise ValueError("inverse search needs field coefficients")
-        targets = [t.terms for t in self._generators()]
+        matrix = SparseMatrix()
+        rhs = [matrix.vector(t.terms) for t in self._generators()]
         cache = self._image_cache()
-        echelon = ColumnEchelon(ring)
-        unflat = self.images[0]._unflat
         basis: list = []
         for cap in range(1, degree_cap + 1):
-            for b in monomials_upto(len(targets), cap)[len(basis) :]:
-                echelon.add(self._monomial_image(b, cache).terms, unflat(b))
+            for b in monomials_upto(len(rhs), cap)[len(basis) :]:
+                matrix.append(self._monomial_image(b, cache).terms)
                 basis.append(b)
-            inverse = self.checked_inverse(basis, [echelon.solve(t) for t in targets])
+            inverse = self.checked_inverse(basis, solve_many(ring, matrix, rhs))
             if inverse is not None:
                 return inverse, cap
         return None, None

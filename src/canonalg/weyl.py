@@ -33,7 +33,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Sequence
 
-from .linalg import ColumnEchelon
+from .linalg import SparseMatrix, matrix_rank, solve_many
 from .poly import Endo, Poly, Terms, compose_random_steps, default_names, monomials_upto, random_unit, reduce_sums
 from .rings import Ring
 
@@ -430,7 +430,7 @@ def center_slice_check(algebra: WeylAlgebra, degree_cap: int) -> CenterSliceRepo
     basis = slice_monomials(algebra, degree_cap)
     expected = [key for key in basis if all(e % p == 0 for pair in key for e in pair)]
 
-    echelon = ColumnEchelon(ring, combinations=False)
+    matrix = SparseMatrix()
     for key in basis:
         elem = WeylElement(algebra, {key: ring.one()})
         stacked: dict[TermKey, object] = {}
@@ -438,8 +438,8 @@ def center_slice_check(algebra: WeylAlgebra, degree_cap: int) -> CenterSliceRepo
             c = commutator(elem, gen)
             for tkey, v in c.terms.items():
                 stacked[(gi,) + tkey] = v  # tag rows by generator index
-        echelon.add(stacked)
-    dimension_found = len(basis) - echelon.rank
+        matrix.append(stacked)
+    dimension_found = len(basis) - matrix_rank(ring, matrix)
     contained = all(
         is_central(WeylElement(algebra, {key: ring.one()})) for key in expected
     )
@@ -454,9 +454,9 @@ def center_slice_check(algebra: WeylAlgebra, degree_cap: int) -> CenterSliceRepo
 def inverse_search(endo: WeylEndo, degree_cap: int) -> tuple["WeylEndo | None", int | None]:
     """Search for an inverse with image degrees <= degree_cap.
 
-    One column echelon widened cap by cap (see :meth:`Endo.inverse_search`);
-    a solution is relation-verified and checked two-sided before being
-    returned as (inverse, degree at which it was found); exhaustion returns
-    (None, None).
+    One sparse system widened cap by cap, solved by :func:`linalg.solve_many`
+    once per cap (see :meth:`Endo.inverse_search`); a solution is
+    relation-verified and checked two-sided before being returned as
+    (inverse, degree at which it was found); exhaustion returns (None, None).
     """
-    return endo.inverse_search(degree_cap)
+    return endo.inverse_search(degree_cap, solve_many)

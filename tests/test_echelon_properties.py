@@ -1,9 +1,10 @@
-"""Property test of the column echelon kept across batches of columns.
+"""Property test of the sparse matrix and its echelon across batches of columns.
 
-Columns are added in batches, as the inverse search adds each degree cap's
-monomial images; after every batch the rank and the solution of every
+Columns are appended in batches, as the inverse search appends each degree
+cap's monomial images; after every batch the rank and the solution of every
 right-hand side must equal the dense oracle's on the matrix of the columns
-added so far, inconsistent right-hand sides included.
+appended so far, inconsistent right-hand sides included, and the matrix
+read as dense rows must be that matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import linalg_oracle as oracle  # noqa: E402
-from canonalg.linalg import ColumnEchelon  # noqa: E402
+from canonalg.linalg import SparseMatrix, matrix_rank, solve_many  # noqa: E402
 from canonalg.rings import GF, QQ  # noqa: E402
 
 RINGS = [GF(2), GF(3), GF(5), GF(10007), QQ]
@@ -45,9 +46,7 @@ def batched_systems(draw):
     combos = draw(st.lists(st.lists(entries(ring), min_size=len(columns), max_size=len(columns)), max_size=2))
     rhs = [[ring.coerce(sum(c * col[i] for c, col in zip(combo, columns))) for i in range(n_rows)] for combo in combos]
     rhs += draw(st.lists(column, max_size=2))
-    # a pivot hint per column: none, or a row (often not in the column)
-    hints = [draw(st.one_of(st.none(), st.integers(0, 7))) for _ in columns]
-    return ring, n_rows, batches, rhs, hints
+    return ring, n_rows, batches, rhs
 
 
 def sparse(vector) -> dict:
@@ -58,21 +57,29 @@ def sparse(vector) -> dict:
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(batched_systems())
 def test_batches_agree_with_the_dense_oracle_on_every_prefix(system):
-    ring, n_rows, batches, rhs, hints = system
-    echelon = ColumnEchelon(ring)
-    ranker = ColumnEchelon(ring, combinations=False)
+    ring, n_rows, batches, rhs = system
+    matrix, ranked = SparseMatrix(), SparseMatrix()
+    vectors = [matrix.vector(sparse(b)) for b in rhs]
     columns: list = []
     for batch in batches:
         for col in batch:
-            hint = None if hints[len(columns)] is None else (hints[len(columns)], "row")
-            assert echelon.add(sparse(col), hint) == ranker.add(sparse(col))
+            matrix.append(sparse(col))
+            ranked.append(sparse(col))
             columns.append(col)
         rows = [[col[i] for col in columns] for i in range(n_rows)]
-        assert echelon.rank == ranker.rank == oracle.matrix_rank(ring, rows)
-        assert echelon.added == len(columns)
-        want = oracle.solve_many(ring, rows, rhs)
-        for b, w in zip(rhs, want):
-            x = echelon.solve(sparse(b))
+        # the dense reading: the rows that hold a nonzero of a column or a right-hand side
+        nonzero = sorted({i for v in columns + rhs for i, x in enumerate(v) if x})
+        assert [list(row) for row in matrix] == [rows[i] for i in nonzero]
+        assert [list(v) for v in vectors] == [[b[i] for i in nonzero] for b in rhs]
+        for value in (0, 1):
+            assert [row.count(value) for row in matrix] == [rows[i].count(value) for i in nonzero]
+            assert [v.count(value) for v in vectors] == [[b[i] for i in nonzero].count(value) for b in rhs]
+        assert matrix_rank(ring, ranked) == oracle.matrix_rank(ring, rows)
+        before = matrix.echelon
+        got = solve_many(ring, matrix, vectors)
+        assert before is None or matrix.echelon is before  # widened, not rebuilt
+        assert matrix.echelon.rank == ranked.echelon.rank and matrix.echelon.added == len(columns)
+        for x, w in zip(got, oracle.solve_many(ring, rows, rhs)):
             if w is None:
                 assert x is None
                 continue

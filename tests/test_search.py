@@ -1,7 +1,7 @@
 """The incremental inverse search against the from-scratch oracle.
 
-``Endo.inverse_search`` keeps one column echelon across degree caps and
-builds it straight from the monomial images' term dicts; the oracle
+``Endo.inverse_search`` keeps one sparse matrix, and its echelon, across
+degree caps and builds it straight from the monomial images' term dicts; the oracle
 (``search_oracle``) rebuilds a dense system at every cap and solves it with
 dense Gauss-Jordan elimination.  Both must return the same inverse found at
 the same cap, or both exhaust the caps.
@@ -14,9 +14,12 @@ import random
 import pytest
 
 import search_oracle
-from linalg_oracle import scatter_rows, solve_many
+import linalg_oracle as oracle
+from linalg_oracle import scatter_rows
 from util import random_poly, weyl_corpus
 
+import canonalg.conjectures as conjectures
+import canonalg.weyl as weyl
 from canonalg.conjectures import (
     _search_cap,
     frobenius_deficit_poly,
@@ -24,7 +27,7 @@ from canonalg.conjectures import (
     gabber_degree_bound,
     inverse_search_poly,
 )
-from canonalg.linalg import ColumnEchelon
+from canonalg.linalg import SparseMatrix, solve_many
 from canonalg.poisson import PoissonContext, generate_symplectomorphism
 from canonalg.poly import Poly, PolyEndo, monomials_upto
 from canonalg.rings import GF, QQ, ZZ
@@ -101,23 +104,46 @@ def test_reach_map_matches_the_oracle_at_cap_8():
 
 
 @pytest.mark.parametrize("p,n,seed,cap", [(2, 2, 5, 6), (3, 1, 601, 5), (5, 2, 1021, 4)])
-def test_echelon_solutions_match_every_caps_dense_system(p, n, seed, cap):
-    """Kept across caps, the echelon solves each cap's targets exactly as the
-    dense oracle solves that cap's system built from nothing."""
+def test_kept_matrix_is_every_caps_dense_system_and_solves_it_alike(p, n, seed, cap):
+    """Widened cap by cap, the matrix reads as each cap's dense system built
+    from nothing, and solves its targets as the dense oracle does."""
     endo = generate_central_perturbation(WeylAlgebra(GF(p), n), seed)
-    echelon, cache, basis = ColumnEchelon(endo.ring), endo._image_cache(), []
+    matrix, cache, basis = SparseMatrix(), endo._image_cache(), []
     targets = [t.terms for t in endo._generators()]
+    rhs = [matrix.vector(t) for t in targets]
     for c in range(1, cap + 1):
         for b in monomials_upto(2 * n, c)[len(basis) :]:
-            echelon.add(endo._monomial_image(b, cache).terms)
+            matrix.append(endo._monomial_image(b, cache).terms)
             basis.append(b)
         columns = [endo._monomial_image(b, cache).terms for b in basis]
         row_keys = sorted({k for col in columns for k in col} | {k for t in targets for k in t})
         rows = scatter_rows(columns, row_keys, 0)
-        want = solve_many(endo.ring, rows, [[t.get(k, 0) for k in row_keys] for t in targets])
-        got = [echelon.solve(t) for t in targets]
+        dense_rhs = [[t.get(k, 0) for k in row_keys] for t in targets]
+        assert [list(row) for row in matrix] == rows and [list(b) for b in rhs] == dense_rhs
+        want = oracle.solve_many(endo.ring, rows, dense_rhs)
+        got = solve_many(endo.ring, matrix, rhs)
         assert [None if x is None else {i: v for i, v in enumerate(x) if v} for x in want] == got
-    assert echelon.added == len(basis)
+        assert matrix.echelon.added == len(basis)
+
+
+@pytest.mark.parametrize("which", ["weyl", "poly"])
+def test_searches_solve_once_per_cap_through_their_modules_solve_many(which, monkeypatch):
+    """The searches look ``solve_many`` up in their own module, once per cap,
+    so a replacement there (a tracer, this test) sees every solve."""
+    module = weyl if which == "weyl" else conjectures
+    if which == "weyl":
+        endo, search = generate_central_perturbation(WeylAlgebra(GF(2), 2), 5), inverse_search
+    else:
+        endo, search = frobenius_deficit_poly(GF(3), 2), inverse_search_poly
+    sizes = []
+
+    def counting(ring, matrix, rhs):
+        sizes.append(len(matrix.columns))
+        return solve_many(ring, matrix, rhs)
+
+    monkeypatch.setattr(module, "solve_many", counting)
+    assert search(endo, 5) == (None, None)
+    assert sizes == [len(monomials_upto(len(endo.images), cap)) for cap in range(1, 6)]
 
 
 def test_searches_refuse_integer_coefficients_at_every_cap():
@@ -131,31 +157,3 @@ def test_searches_refuse_integer_coefficients_at_every_cap():
 def test_cap_zero_searches_nothing():
     assert inverse_search(WeylEndo.identity(WeylAlgebra(GF(3), 1)), 0) == (None, None)
     assert inverse_search_poly(PolyEndo.identity(QQ, 1), 0) == (None, None)
-
-
-@pytest.mark.parametrize("which", ["weyl", "poly"])
-def test_search_pivots_on_the_diagonal_when_the_linear_part_is_the_identity(which, monkeypatch):
-    """Pivoting on each column's own monomial keeps such maps' echelon
-    diagonal: no column is reduced.  Pivoting on the first key would reduce
-    most columns of the polynomial map, whose images list their cubic terms
-    first."""
-    import canonalg.poly as polymod
-
-    if which == "weyl":
-        endo, cap = generate_central_perturbation(WeylAlgebra(GF(2), 2), 5), 8
-    else:
-        x1, x2 = Poly.variable(QQ, 2, 1), Poly.variable(QQ, 2, 2)
-        three, two = Poly.const(QQ, 2, 3), Poly.const(QQ, 2, 2)
-        endo, cap = PolyEndo(QQ, 2, [three * x1 * x2 * x2 + x1, two * x1 * x2 * x2 + x1 * x2 + x2]), 6
-    made = []
-
-    def recording(*args, **kwargs):
-        made.append(ColumnEchelon(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(polymod, "ColumnEchelon", recording)
-    assert endo.inverse_search(cap) == (None, None)
-    (echelon,) = made
-    one = endo.images[0]._one()
-    assert echelon.pivots == [one._unflat(b) for b in monomials_upto(len(endo.images), cap)]
-    assert echelon.combos == [{i: 1} for i in range(echelon.added)]
