@@ -9,14 +9,15 @@ The module also provides polynomial maps (algebra endomorphisms given by
 their images of the variables), jacobian matrices, and division-free
 determinants -- the commutative substrate everything else builds on.  Its
 two base classes are the core the Weyl side shares: :class:`Terms` (sparse
-term arithmetic and rendering) and :class:`Endo` (application, composition,
-monomial-image caching and the inverse search).
+term arithmetic and rendering) and :class:`Endo` (application, composition
+and the inverse search, on the packed-key monomial images of
+:class:`_Images`).
 """
 
 from __future__ import annotations
 
 import random
-from operator import add
+from operator import add, lshift
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import SparseMatrix
@@ -112,10 +113,14 @@ class Terms:
 
     def __add__(self, other):
         self._check(other)
-        add, zero = self.ring.add, self.ring.zero()
+        p = self.ring.p
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = add(out.get(key, zero), c)
+            if key in out:  # one reduction per shared key; _make drops the zeros
+                c += out[key]
+                if p:
+                    c %= p
+            out[key] = c
         return self._make(out)
 
     def __neg__(self):
@@ -123,7 +128,13 @@ class Terms:
         return self._make({key: neg(c) for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        p = self.ring.p
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            c = out.get(key, 0) - c
+            out[key] = c % p if p else c
+        return self._make(out)
 
     def scale(self, c):
         ring = self.ring
@@ -301,18 +312,124 @@ class Poly(Terms):
         return acc
 
 
+class _Images:
+    """Monomial images of one endomorphism, on packed exponent keys.
+
+    A flat exponent vector ``e`` (one exponent per letter, in the order of
+    the flattened term keys) is packed into the int
+    ``sum(e[k] << (width * k))``.  The width holds ``max_degree`` times the
+    top letter-image degree (at least ``max_degree``), which bounds every
+    exponent of every monomial of degree <= max_degree and of its image (a
+    Weyl product only lowers exponents), so a field never overflows and
+    multiplying two monomials adds their keys.  An image is a dict
+    ``{packed key: coefficient}``; images are cached by packed monomial key.
+    Packing follows Monagan and Pearce (POLY, Maple 17, 2013); public
+    ``terms`` keep their tuple keys.
+    """
+
+    __slots__ = ("p", "width", "mask", "shifts", "units", "letters", "weights", "cache")
+
+    def __init__(self, endo: "Endo", max_degree: int):
+        letters = endo._letter_images()
+        top = max([im.degree() for im in letters if im.terms], default=0)
+        self.width = width = (max_degree * max(top, 1)).bit_length() or 1
+        self.mask = (1 << width) - 1
+        self.shifts = shifts = [width * k for k in range(len(letters))]
+        self.units = units = [1 << s for s in shifts]
+        self.p = p = endo.ring.p
+        pairs, self.weights = endo._leibniz()
+        self.letters = []
+        for im in letters:
+            right = []
+            for key, c in im.terms.items():
+                flat = im._flat(key)
+                # the position exponent b of the right factor lowers the left's
+                # derivation exponent, unless b is 0 mod p (every weight vanishes)
+                lows = [(shifts[d], flat[g], units[g] + units[d]) for g, d in pairs if (flat[g] % p if p else flat[g])]
+                right.append((self.pack(flat), c, lows))
+            self.letters.append((right, any([lows for _, _, lows in right])))
+        self.cache = {0: {0: endo.ring.one()}}
+
+    def pack(self, flat) -> int:
+        return sum(map(lshift, flat, self.shifts))
+
+    def packed(self, elem) -> dict:
+        """An element's terms on packed keys."""
+        pack, flat = self.pack, elem._flat
+        return {pack(flat(key)): c for key, c in elem.terms.items()}
+
+    def unpacked(self, sums: dict, elem):
+        """The element of ``elem``'s space with the given packed sums, reduced."""
+        shifts, mask, unflat = self.shifts, self.mask, elem._unflat
+        sums = reduce_sums(elem.ring, sums)
+        return elem._make({unflat(tuple([k >> s & mask for s in shifts])): c for k, c in sums.items() if c})
+
+    def image(self, key: int) -> dict:
+        """The image of the monomial with packed key ``key``: the image of the
+        monomial without its last letter times that letter's image."""
+        cache = self.cache
+        chain = []
+        width, units = self.width, self.units
+        while key not in cache:
+            j = (key.bit_length() - 1) // width
+            chain.append((key, j))
+            key -= units[j]
+        for k, j in reversed(chain):
+            cache[k] = self._times(cache[key], *self.letters[j])
+            key = k
+        return cache[key]
+
+    def _times(self, left: dict, right: list, lowers: bool) -> dict:
+        """``left`` times one letter image, both packed, reduced.
+
+        Left terms outer, right terms inner, so the keys come in the order
+        of the element product.  Where a right term's position exponent b
+        meets a left derivation exponent a, the Leibniz weights of (a, b)
+        expand the term, lowering both exponents by l; a letter with no
+        such term (``lowers`` false) only adds keys.
+        """
+        p, mask, weights = self.p, self.mask, self.weights
+        out: dict = {}
+        get = out.get
+        if not lowers:
+            for k1, c1 in left.items():
+                for k2, c2, _ in right:
+                    key = k1 + k2
+                    out[key] = get(key, 0) + c1 * c2
+        else:
+            for k1, c1 in left.items():
+                for k2, c2, lows in right:
+                    key = k1 + k2
+                    c = c1 * c2
+                    expansion = None
+                    for shift, b, unit in lows:
+                        a = k1 >> shift & mask
+                        if a and len(ws := weights(a, b, p)) > 1:
+                            expansion = [(k - l * unit, cw * w) for k, cw in expansion or [(key, c)] for l, w in ws]
+                    if expansion is None:
+                        out[key] = get(key, 0) + c
+                    else:
+                        for k, cw in expansion:
+                            out[k] = get(k, 0) + cw
+        if p:
+            return {k: r for k, c in out.items() if (r := c % p)}
+        return {k: c for k, c in out.items() if c}
+
+
 class Endo:
     """Algebra endomorphism given by ``images``, one per generator in order.
 
     The base of :class:`PolyEndo` and :class:`canonalg.weyl.WeylEndo`.  A
     subclass supplies ``ring``, ``_space`` (the constructor arguments before
-    the images), its generators and ``_letter_images`` (the images in the
-    letter order of the flattened term keys).
+    the images), its generators, ``_letter_images`` (the images in the
+    letter order of the flattened term keys) and, where letters do not
+    commute, ``_leibniz``.
 
     A monomial's image is the image of the monomial without its last letter
     times that letter's image.  That holds in normal order too: the last
     letter of a normal-ordered word can be split off on the right, because
-    the letters of one block commute among themselves.
+    the letters of one block commute among themselves.  :class:`_Images`
+    computes and caches them on packed keys.
     """
 
     __slots__ = ()
@@ -327,43 +444,32 @@ class Endo:
     def is_identity(self) -> bool:
         return list(self.images) == self._generators()
 
-    def _image_cache(self) -> dict:
-        """Monomial images by flattened key, seeded with the empty monomial."""
-        one = self.images[0]._one()
-        return {(0,) * len(self.images): one}
+    def _leibniz(self) -> tuple:
+        """(letter pairs (position, derivation) of the flat key, their weight
+        function): none, the letters commute."""
+        return (), None
 
-    def _monomial_image(self, flat: Exponents, cache: dict):
-        letters = self._letter_images()
-        chain = []
-        while flat not in cache:
-            j = max(k for k, e in enumerate(flat) if e)
-            chain.append((flat, j))
-            flat = flat[:j] + (flat[j] - 1,) + flat[j + 1 :]
-        for key, j in reversed(chain):
-            cache[key] = cache[flat] * letters[j]
-            flat = key
-        return cache[flat]
-
-    def _apply(self, f, cache: dict):
+    def _apply(self, f, images: _Images):
         if f._space() != self._space():
             raise ValueError("element from a different space than the endomorphism")
         out: dict = {}
         get = out.get
+        pack, flat, image = images.pack, f._flat, images.image
         for key, c in f.terms.items():
-            for k, v in self._monomial_image(f._flat(key), cache).terms.items():
+            for k, v in image(pack(flat(key))).items():
                 out[k] = get(k, 0) + c * v
-        return f._make(reduce_sums(self.ring, out))
+        return images.unpacked(out, f)
 
     def apply(self, f):
         """Image of an element: the sum of its terms' monomial images."""
-        return self._apply(f, self._image_cache())
+        return self._apply(f, _Images(self, f.degree() if f.terms else 0))
 
     def compose(self, other):
         """self after other: (self . other)(Y_i) = self(other(Y_i))."""
         if self._space() != other._space():
             raise ValueError("endomorphism mismatch")
-        cache = self._image_cache()
-        return type(self)(*self._space(), [self._apply(im, cache) for im in other.images])
+        images = _Images(self, max([im.degree() for im in other.images if im.terms], default=0))
+        return type(self)(*self._space(), [self._apply(im, images) for im in other.images])
 
     def inverse_search(self, degree_cap: int, solve_many):
         """Search for an inverse with image degrees <= degree_cap.
@@ -371,25 +477,28 @@ class Endo:
         The inverse's images are unknown combinations of the monomials of
         degree <= cap; applying this map to them is linear in the unknowns,
         so ``self(psi(Y_i)) = Y_i`` is one linear system per generator, with
-        one column per basis monomial: the term dict of its image.  The
+        one column per basis monomial: its image on packed row keys.  The
         basis at cap D is a prefix of the one at D+1 (graded order), so one
-        matrix serves every cap: each cap appends its new monomials' images
-        and ``solve_many`` (:func:`linalg.solve_many`, passed in by the
-        search entry points of ``weyl`` and ``conjectures``) eliminates only
-        those before solving the targets again.  Returns (inverse, degree at
-        which it was found), or (None, None) once the caps are exhausted.
+        matrix serves every cap: each cap appends the images of its degree-D
+        monomials and ``solve_many`` (:func:`linalg.solve_many`, passed in by
+        the search entry points of ``weyl`` and ``conjectures``) eliminates
+        only those before solving the targets again.  Returns (inverse,
+        degree at which it was found), or (None, None) once the caps are
+        exhausted.
         """
         ring = self.ring
         if not ring.is_field():
             raise ValueError("inverse search needs field coefficients")
+        images = _Images(self, degree_cap)
+        generators = self._generators()
         matrix = SparseMatrix()
-        rhs = [matrix.vector(t.terms) for t in self._generators()]
-        cache = self._image_cache()
+        rhs = [matrix.vector(images.packed(t)) for t in generators]
         basis: list = []
         for cap in range(1, degree_cap + 1):
-            for b in monomials_upto(len(rhs), cap)[len(basis) :]:
-                matrix.append(self._monomial_image(b, cache).terms)
-                basis.append(b)
+            for degree in (0, 1) if cap == 1 else (cap,):
+                for b in compositions(degree, len(generators)):
+                    matrix.append(images.image(images.pack(b)))
+                    basis.append(b)
             inverse = self.checked_inverse(basis, solve_many(ring, matrix, rhs))
             if inverse is not None:
                 return inverse, cap

@@ -258,6 +258,11 @@ class WeylEndo(Endo):
         n = self.algebra.n
         return self.images[n:] + self.images[:n]
 
+    def _leibniz(self) -> tuple:
+        """Position letter i meets derivation letter n + i of the flat key."""
+        n = self.algebra.n
+        return [(i, n + i) for i in range(n)], _leibniz_weights
+
     compose = Endo.compose  # own attribute, so it can be wrapped per class
 
 

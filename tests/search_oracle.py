@@ -6,13 +6,38 @@ the dense Gauss-Jordan oracle of ``linalg_oracle`` solves them.  The loop,
 the system assembly and the reading-off of the inverse are the code
 ``canonalg.poly.Endo`` and the two search entry points used, moved here
 unchanged; the tests compare the incremental search with it.
+
+``image_cache`` and ``monomial_image`` are the tuple-keyed monomial-image
+chain ``Endo._image_cache`` and ``Endo._monomial_image`` were before the
+packed-key engine of ``canonalg.poly`` replaced them, moved here unchanged
+(``self`` is the endomorphism): each image is the image of its prefix times
+the last letter's image, an element product on tuple keys.
 """
 
 from __future__ import annotations
 
 from linalg_oracle import scatter_rows, solve_many
 
-from canonalg.poly import monomials_upto
+from canonalg.poly import Exponents, monomials_upto
+
+
+def image_cache(self) -> dict:
+    """Monomial images by flattened key, seeded with the empty monomial."""
+    one = self.images[0]._one()
+    return {(0,) * len(self.images): one}
+
+
+def monomial_image(self, flat: Exponents, cache: dict):
+    letters = self._letter_images()
+    chain = []
+    while flat not in cache:
+        j = max(k for k, e in enumerate(flat) if e)
+        chain.append((flat, j))
+        flat = flat[:j] + (flat[j] - 1,) + flat[j + 1 :]
+    for key, j in reversed(chain):
+        cache[key] = cache[flat] * letters[j]
+        flat = key
+    return cache[flat]
 
 
 def inverse_systems(endo, degree_cap: int):
@@ -29,11 +54,11 @@ def inverse_systems(endo, degree_cap: int):
     if not ring.is_field():
         raise ValueError("inverse search needs field coefficients")
     targets = endo._generators()
-    cache = endo._image_cache()
+    cache = image_cache(endo)
     zero = ring.zero()
     for cap in range(1, degree_cap + 1):
         basis = monomials_upto(len(targets), cap)
-        columns = [endo._monomial_image(b, cache).terms for b in basis]
+        columns = [monomial_image(endo, b, cache).terms for b in basis]
         row_keys = sorted({rk for col in columns for rk in col} | {rk for t in targets for rk in t.terms})
         rows = scatter_rows(columns, row_keys, zero)
         rhs = [[t.terms.get(rk, zero) for rk in row_keys] for t in targets]

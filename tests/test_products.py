@@ -178,6 +178,17 @@ def test_poly_endo_apply_and_compose_against_old_kernel(ring: Ring):
             assert f.compose(g) == product_oracle.compose(f, g)
 
 
+def test_compose_with_exponents_past_sixteen_bits():
+    """X1 -> X1^300 + X2 composed with itself reaches X1^90000: the packed
+    fields must widen with the degrees, past 16 bits."""
+    ring = GF(10007)
+    x1, x2 = Poly.variable(ring, 2, 1), Poly.variable(ring, 2, 2)
+    f = PolyEndo(ring, 2, [x1**300 + x2, x2])
+    composed = f.compose(f)
+    assert composed == product_oracle.compose(f, f)
+    assert composed.images[0].degree() == 90000
+
+
 def test_weyl_endo_apply_and_compose_against_old_kernel():
     rng = random.Random(77)
     corpus = weyl_corpus()[::6]

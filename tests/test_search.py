@@ -4,7 +4,9 @@
 degree caps and builds it straight from the monomial images' term dicts; the oracle
 (``search_oracle``) rebuilds a dense system at every cap and solves it with
 dense Gauss-Jordan elimination.  Both must return the same inverse found at
-the same cap, or both exhaust the caps.
+the same cap, or both exhaust the caps.  The search's monomial images come
+from the packed-key engine ``poly._Images``; they must equal the tuple-keyed
+chain of ``search_oracle`` in keys, values and dict order.
 """
 
 from __future__ import annotations
@@ -29,14 +31,17 @@ from canonalg.conjectures import (
 )
 from canonalg.linalg import SparseMatrix, solve_many
 from canonalg.poisson import PoissonContext, generate_symplectomorphism
-from canonalg.poly import Poly, PolyEndo, monomials_upto
+from canonalg.poly import Poly, PolyEndo, _Images, monomials_upto
 from canonalg.rings import GF, QQ, ZZ
 from canonalg.weyl import (
     WeylAlgebra,
     WeylEndo,
+    central_monomial,
+    derivation_shear,
     generate_central_perturbation,
     inverse_degree_bound,
     inverse_search,
+    position_shear,
 )
 
 RINGS = [QQ, GF(2), GF(3), GF(5), GF(10007)]
@@ -48,6 +53,38 @@ def weyl_cap(endo) -> int:
 
 def poly_cap(endo) -> int:
     return _search_cap(endo.nvars, gabber_degree_bound(endo), 4000, 4)
+
+
+def engine_images_match_the_oracle(endo, cap: int) -> None:
+    """Every monomial image up to ``cap``, from the packed-key engine, equals
+    the tuple chain's in keys, values and dict order."""
+    images, cache = _Images(endo, cap), search_oracle.image_cache(endo)
+    one = endo.images[0]._one()
+    for b in monomials_upto(len(endo.images), cap):
+        got = images.unpacked(images.image(images.pack(b)), one)
+        want = search_oracle.monomial_image(endo, b, cache)
+        assert list(got.terms.items()) == list(want.terms.items()), (repr(endo), b)
+
+
+def test_engine_images_match_the_tuple_chain_on_the_corpus():
+    for endo in weyl_corpus():
+        engine_images_match_the_oracle(endo, 4)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), GF(5), GF(10007)], ids=str)
+def test_engine_images_match_the_tuple_chain(ring):
+    for endo in poly_maps(ring, 41):
+        engine_images_match_the_oracle(endo, 5)
+    for n in (1, 2):
+        algebra, x = WeylAlgebra(ring, n), Poly.variable(ring, n, 1)
+        endo = position_shear(algebra, x**4).compose(derivation_shear(algebra, x**4))
+        engine_images_match_the_oracle(endo, 4 if n == 1 else 3)
+    if 0 < ring.p < 10:
+        algebra = WeylAlgebra(ring, 1)
+        # central terms: position exponents p*e lower nothing however high the derivation exponent
+        d, x = algebra.generators()
+        bumped = WeylEndo(algebra, [d + central_monomial(algebra, [1], [0]), x + central_monomial(algebra, [0], [1])])
+        engine_images_match_the_oracle(bumped, 4)
 
 
 def test_weyl_corpus_matches_the_oracle():
@@ -108,14 +145,14 @@ def test_kept_matrix_is_every_caps_dense_system_and_solves_it_alike(p, n, seed, 
     """Widened cap by cap, the matrix reads as each cap's dense system built
     from nothing, and solves its targets as the dense oracle does."""
     endo = generate_central_perturbation(WeylAlgebra(GF(p), n), seed)
-    matrix, cache, basis = SparseMatrix(), endo._image_cache(), []
+    matrix, cache, basis = SparseMatrix(), search_oracle.image_cache(endo), []
     targets = [t.terms for t in endo._generators()]
     rhs = [matrix.vector(t) for t in targets]
     for c in range(1, cap + 1):
         for b in monomials_upto(2 * n, c)[len(basis) :]:
-            matrix.append(endo._monomial_image(b, cache).terms)
+            matrix.append(search_oracle.monomial_image(endo, b, cache).terms)
             basis.append(b)
-        columns = [endo._monomial_image(b, cache).terms for b in basis]
+        columns = [search_oracle.monomial_image(endo, b, cache).terms for b in basis]
         row_keys = sorted({k for col in columns for k in col} | {k for t in targets for k in t})
         rows = scatter_rows(columns, row_keys, 0)
         dense_rhs = [[t.get(k, 0) for k in row_keys] for t in targets]
