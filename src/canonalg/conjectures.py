@@ -98,6 +98,8 @@ def decide_weyl_automorphism(
 
 # -- field-extension degree estimation ------------------------------------------------
 
+FIBER_POINT_BUDGET = 1 << 18  # points of F_p^2 a 2-variable fiber count may enumerate (p <= 509)
+
 
 @dataclass(frozen=True)
 class ExtensionDegreeReport:
@@ -149,7 +151,8 @@ def extension_degree_estimate(endo: PolyEndo) -> ExtensionDegreeReport:
     with a separability flag from gcd(F, F')).  For two variables all fibers
     over the base field are enumerated; fibers larger than the Bezout bound
     are treated as blowups and the estimate is the largest remaining fiber,
-    a lower-bound heuristic only.
+    a lower-bound heuristic only.  More than 2 variables, or a plane F_p^2
+    of more than ``FIBER_POINT_BUDGET`` points, raise ``ValueError``.
     """
     ring = endo.ring
     p = ring.characteristic()
@@ -178,6 +181,8 @@ def extension_degree_estimate(endo: PolyEndo) -> ExtensionDegreeReport:
     f1, f2 = endo.images
     if any(im.is_zero() or im.is_constant() for im in (f1, f2)):
         return ExtensionDegreeReport(None, False, None, None, 0, 0, True)
+    if p * p > FIBER_POINT_BUDGET:
+        raise ValueError(f"fiber counting over F{p}^2 needs {p * p} points, over the budget of {FIBER_POINT_BUDGET}")
     bezout = f1.degree() * f2.degree()
     fibers = {}
     for a in range(p):

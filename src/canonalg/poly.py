@@ -298,18 +298,19 @@ class Poly(Terms):
         return PolyEndo(self.ring, self.nvars, images).apply(self)
 
     def evaluate(self, point: Sequence):
-        """Value at a point given as ring elements, one per variable."""
+        """Value at a point given as ring elements, one per variable; powers
+        by repeated squaring (``pow``), reduced mod p once per power and once
+        at the end."""
         if len(point) != self.nvars:
             raise ValueError("point arity does not match variable count")
-        ring = self.ring
-        acc = ring.zero()
+        p = self.ring.p
+        acc = self.ring.zero()
         for exps, c in self.terms.items():
-            v = c
             for e, a in zip(exps, point):
-                for _ in range(e):
-                    v = ring.mul(v, a)
-            acc = ring.add(acc, v)
-        return acc
+                if e:
+                    c *= pow(a, e, p) if p else a**e
+            acc += c
+        return acc % p if p else acc
 
 
 class _Images:
@@ -462,14 +463,19 @@ class Endo:
 
     def apply(self, f):
         """Image of an element: the sum of its terms' monomial images."""
-        return self._apply(f, _Images(self, f.degree() if f.terms else 0))
+        return self.apply_each([f])[0]
+
+    def apply_each(self, elems: Sequence) -> list:
+        """The images of several elements, on one engine sized for the
+        largest of them, so the monomial images they share are made once."""
+        images = _Images(self, max([f.degree() for f in elems if f.terms], default=0))
+        return [self._apply(f, images) for f in elems]
 
     def compose(self, other):
         """self after other: (self . other)(Y_i) = self(other(Y_i))."""
         if self._space() != other._space():
             raise ValueError("endomorphism mismatch")
-        images = _Images(self, max([im.degree() for im in other.images if im.terms], default=0))
-        return type(self)(*self._space(), [self._apply(im, images) for im in other.images])
+        return type(self)(*self._space(), self.apply_each(other.images))
 
     def inverse_search(self, degree_cap: int, solve_many):
         """Search for an inverse with image degrees <= degree_cap.

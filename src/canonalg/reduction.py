@@ -4,9 +4,11 @@ Over F_p the center of the Weyl algebra is the polynomial ring generated by
 the p-th powers of the generators; writing X_i for Y_i^p, every relation-
 verified endomorphism restricts to a polynomial endomorphism of those 2n
 commutative variables.  The restriction is computed from the definition:
-the p-th power of each image is formed by p-fold multiplication, checked to
-be central with all exponents divisible by p, and read off with exponents
-divided by p.  Failures of those checks are internal errors, not data.
+the p-th power of each image is the image of the monomial Y_i^p, built one
+letter at a time on the endomorphism's monomial-image engine
+(:meth:`canonalg.poly.Endo.apply_each`), checked to be central (all
+exponents divisible by p), and read off with exponents divided by p.
+Failures of those checks are internal errors, not data.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .poisson import PoissonContext, is_symplectic
 from .poly import Poly, PolyEndo
-from .weyl import WeylElement, WeylEndo, is_central
+from .weyl import WeylElement, WeylEndo, central_monomial, is_central
 
 
 class CenterReductionError(AssertionError):
@@ -47,35 +49,29 @@ class CenterSymplecticReport:
 def _read_central(elem: WeylElement, p: int) -> Poly:
     """Read a central normal-form element as a polynomial in X_i = Y_i^p.
 
-    The exponent pair (g, d) corresponds to X-exponents d/p on the first n
-    variables and g/p on the last n.
+    The exponent pair (g, d), all divisible by p, corresponds to X-exponents
+    d/p on the first n variables and g/p on the last n.
     """
     alg = elem.algebra
-    terms = {}
-    for (g, d), c in elem.terms.items():
-        if any(e % p for e in g) or any(e % p for e in d):
-            raise CenterReductionError(
-                f"exponents of {elem.to_text()} are not all divisible by {p}"
-            )
-        terms[tuple(e // p for e in d) + tuple(e // p for e in g)] = c
+    terms = {tuple(e // p for e in d) + tuple(e // p for e in g): c for (g, d), c in elem.terms.items()}
     return Poly(alg.ring, 2 * alg.n, terms)
 
 
 def induced_center_endo(endo: WeylEndo) -> CenterEndo:
-    """The endomorphism induced on the center, from p-fold image powers."""
-    ring = endo.algebra.ring
-    p = ring.characteristic()
+    """The endomorphism induced on the center: sigma(Y_i)^p = sigma(Y_i^p)."""
+    alg = endo.algebra
+    p = alg.ring.characteristic()
     if p == 0:
         raise ValueError("center reduction needs prime-field coefficients")
+    powers = endo.apply_each([central_monomial(alg, *key) for gen in alg.generators() for key in gen.terms])
     images = []
-    for i, im in enumerate(endo.images, start=1):
-        power = im**p
+    for i, power in enumerate(powers, start=1):
         if not is_central(power):
             raise CenterReductionError(
                 f"image {i} has non-central p-th power {power.to_text()}"
             )
         images.append(_read_central(power, p))
-    return CenterEndo(PolyEndo(ring, 2 * endo.algebra.n, images), endo)
+    return CenterEndo(PolyEndo(alg.ring, 2 * alg.n, images), endo)
 
 
 def check_degree_preservation(endo: WeylEndo) -> DegreeReport:

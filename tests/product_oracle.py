@@ -1,11 +1,19 @@
-"""The Ring-dispatched products, kept as test oracles.
+"""The Ring-dispatched products, and the checks built on products, kept as
+test oracles.
 
 ``leibniz_mul`` and ``poly_mul`` are the bodies of ``WeylElement.__mul__``
 and ``Poly.__mul__`` before those became plain-integer kernels, moved here
 unchanged with the ``_falling`` helper only they used: every scalar
 operation goes through ``Ring``, and every Leibniz weight is computed from
 scratch and reduced before a zero one is dropped.  ``apply`` is
-``Endo.apply`` built on them.  The tests compare the kernels with these.
+``Endo.apply`` built on them.
+
+``is_central``, ``poisson_bracket``/``is_symplectic`` and
+``induced_center_endo`` are the earlier bodies of the functions of those
+names, which formed products only to cancel them: commutators with every
+generator, products of ``partial`` polynomials, and p-th powers by repeated
+squaring.  ``evaluate`` is ``Poly.evaluate`` with one ``Ring`` product per
+unit of each exponent.  The tests compare the kernels with these.
 """
 
 from __future__ import annotations
@@ -13,8 +21,10 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from canonalg.poly import Exponents, Poly
-from canonalg.weyl import TermKey, WeylElement
+from canonalg.poisson import PoissonContext
+from canonalg.poly import Exponents, Poly, PolyEndo
+from canonalg.reduction import CenterEndo, CenterReductionError
+from canonalg.weyl import TermKey, WeylElement, WeylEndo, commutator
 
 
 def _falling(b: int, k: int) -> int:
@@ -88,3 +98,64 @@ def apply(endo, f):
 def compose(outer, inner):
     """``outer . inner`` built with :func:`apply`."""
     return type(outer)(*outer._space(), [apply(outer, im) for im in inner.images])
+
+
+def is_central(a: WeylElement) -> bool:
+    """Commutes with every generator."""
+    return all(commutator(a, g).is_zero() for g in a.algebra.generators())
+
+
+def poisson_bracket(ctx: PoissonContext, f: Poly, g: Poly) -> Poly:
+    if f.nvars != ctx.nvars or g.nvars != ctx.nvars or f.ring != ctx.ring:
+        raise ValueError("bracket operands must live in 2n variables over the context ring")
+    acc = Poly.zero(ctx.ring, ctx.nvars)
+    for i in range(1, ctx.n + 1):
+        acc = acc + f.partial(i) * g.partial(i + ctx.n) - f.partial(i + ctx.n) * g.partial(i)
+    return acc
+
+
+def is_symplectic(ctx: PoissonContext, endo: PolyEndo) -> bool:
+    """Every pairwise bracket of the images against the identity's."""
+    ident = [Poly.variable(ctx.ring, ctx.nvars, i) for i in range(1, ctx.nvars + 1)]
+    return all(
+        poisson_bracket(ctx, endo.images[i], endo.images[j]) == poisson_bracket(ctx, ident[i], ident[j])
+        for i in range(ctx.nvars)
+        for j in range(i + 1, ctx.nvars)
+    )
+
+
+def _read_central(elem: WeylElement, p: int) -> Poly:
+    alg = elem.algebra
+    terms = {}
+    for (g, d), c in elem.terms.items():
+        if any(e % p for e in g) or any(e % p for e in d):
+            raise CenterReductionError(f"exponents of {elem.to_text()} are not all divisible by {p}")
+        terms[tuple(e // p for e in d) + tuple(e // p for e in g)] = c
+    return Poly(alg.ring, 2 * alg.n, terms)
+
+
+def induced_center_endo(endo: WeylEndo) -> CenterEndo:
+    """The endomorphism induced on the center, from p-fold image powers."""
+    ring = endo.algebra.ring
+    p = ring.characteristic()
+    if p == 0:
+        raise ValueError("center reduction needs prime-field coefficients")
+    images = []
+    for i, im in enumerate(endo.images, start=1):
+        power = im**p
+        if not is_central(power):
+            raise CenterReductionError(f"image {i} has non-central p-th power {power.to_text()}")
+        images.append(_read_central(power, p))
+    return CenterEndo(PolyEndo(ring, 2 * endo.algebra.n, images), endo)
+
+
+def evaluate(f: Poly, point):
+    ring = f.ring
+    acc = ring.zero()
+    for exps, c in f.terms.items():
+        v = c
+        for e, a in zip(exps, point):
+            for _ in range(e):
+                v = ring.mul(v, a)
+        acc = ring.add(acc, v)
+    return acc
