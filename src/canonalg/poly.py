@@ -27,13 +27,19 @@ Exponents = tuple[int, ...]
 
 
 def compositions(total: int, k: int) -> Iterator[Exponents]:
-    """All exponent vectors of length k with the given total, first entry largest."""
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, k - 1):
-            yield (first,) + rest
+    """All exponent vectors of length k >= 1 with the given total, first entry largest."""
+    e = [total] + [0] * (k - 1)
+    while True:
+        yield tuple(e)
+        # the last nonzero e[i] with i < k - 1 gives one unit to e[i + 1], which also takes e[-1]
+        i = k - 2
+        while i >= 0 and not e[i]:
+            i -= 1
+        if i < 0:
+            return
+        last, e[-1] = e[-1], 0
+        e[i] -= 1
+        e[i + 1] = last + 1
 
 
 def monomials_upto(nvars: int, max_degree: int) -> list[Exponents]:
@@ -331,8 +337,8 @@ class _Images:
     __slots__ = ("p", "width", "mask", "shifts", "units", "letters", "weights", "cache")
 
     def __init__(self, endo: "Endo", max_degree: int):
-        letters = endo._letter_images()
-        top = max([im.degree() for im in letters if im.terms], default=0)
+        letters = [[(im._flat(key), c) for key, c in im.terms.items()] for im in endo._letter_images()]
+        top = max([sum(flat) for terms in letters for flat, _ in terms], default=0)
         self.width = width = (max_degree * max(top, 1)).bit_length() or 1
         self.mask = (1 << width) - 1
         self.shifts = shifts = [width * k for k in range(len(letters))]
@@ -340,10 +346,9 @@ class _Images:
         self.p = p = endo.ring.p
         pairs, self.weights = endo._leibniz()
         self.letters = []
-        for im in letters:
+        for terms in letters:
             right = []
-            for key, c in im.terms.items():
-                flat = im._flat(key)
+            for flat, c in terms:
                 # the position exponent b of the right factor lowers the left's
                 # derivation exponent, unless b is 0 mod p (every weight vanishes)
                 lows = [(shifts[d], flat[g], units[g] + units[d]) for g, d in pairs if (flat[g] % p if p else flat[g])]
@@ -505,25 +510,33 @@ class Endo:
                 for b in compositions(degree, len(generators)):
                     matrix.append(images.image(images.pack(b)))
                     basis.append(b)
-            inverse = self.checked_inverse(basis, solve_many(ring, matrix, rhs))
+            inverse = self.checked_inverse(basis, solve_many(ring, matrix, rhs), images)
             if inverse is not None:
                 return inverse, cap
         return None, None
 
-    def checked_inverse(self, basis: list, solutions: list):
+    def checked_inverse(self, basis: list, solutions: list, images: _Images):
         """The inverse read off one cap's solutions, None if a system had none.
 
-        Each solution maps basis indices to coefficients.  The candidate is
-        built through the subclass constructor (a Weyl one verifies the
-        relations) and must compose to the identity on both sides; a failure
-        there is an internal bug, never a verdict.
+        Each solution maps basis indices to coefficients.  The candidate psi
+        is built through the subclass constructor (a Weyl one verifies the
+        relations); ``self(psi(Y_i))``, on the search's engine ``images``
+        that holds the image of every basis monomial, and ``psi(self(Y_i))``
+        must be the generators.  A one-sided solution makes this map
+        surjective, hence injective (the rings are Noetherian), so any
+        failure here, the relation check included, is an internal bug.
         """
         if any(sol is None for sol in solutions):
             return None
         one = self.images[0]._one()
-        images = [one._make({one._unflat(basis[i]): c for i, c in sol.items()}) for sol in solutions]
-        inverse = type(self)(*self._space(), images)
-        if not self.compose(inverse).is_identity() or not inverse.compose(self).is_identity():
+        candidate = [one._make({one._unflat(basis[i]): c for i, c in sol.items()}) for sol in solutions]
+        try:
+            inverse = type(self)(*self._space(), candidate)
+        except ValueError as exc:  # a Weyl candidate that breaks the relations
+            raise AssertionError(f"inverse candidate is not an endomorphism: {exc} (internal bug)") from exc
+        generators = self._generators()
+        after = [self._apply(f, images) for f in inverse.images]
+        if after != generators or inverse.apply_each(self.images) != generators:
             raise AssertionError("one-sided inverse failed the two-sided check (internal bug)")
         return inverse
 

@@ -12,13 +12,30 @@ chain ``Endo._image_cache`` and ``Endo._monomial_image`` were before the
 packed-key engine of ``canonalg.poly`` replaced them, moved here unchanged
 (``self`` is the endomorphism): each image is the image of its prefix times
 the last letter's image, an element product on tuple keys.
+
+``checked_inverse`` is the two-sided check as it was before it ran on the
+search's own image engine: it composes the candidate with the map on both
+sides, as full endomorphisms.  ``compositions`` is the recursive
+generator ``canonalg.poly.compositions`` was before it became a loop.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from linalg_oracle import scatter_rows, solve_many
 
 from canonalg.poly import Exponents, monomials_upto
+
+
+def compositions(total: int, k: int) -> Iterator[Exponents]:
+    """All exponent vectors of length k with the given total, first entry largest."""
+    if k == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, k - 1):
+            yield (first,) + rest
 
 
 def image_cache(self) -> dict:

@@ -248,6 +248,36 @@ def test_cli_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,text,module",
+    [
+        ("invert-weyl", "ring=F3 kind=weyl n=1\nY1 -> Y1\nY2 -> Y2 + Y1^2\n", "weyl"),
+        ("invert", "ring=F3 kind=poly m=2\nX1 -> X1 + 2*X2^2\nX2 -> X2 + 1\n", "conjectures"),
+    ],
+    ids=["weyl", "poly"],
+)
+def test_cli_corrupted_solution_exits_3(command, text, module, tmp_path, monkeypatch, capsys):
+    """A solver fault is an internal error on both sides, not ill-formed input
+    (the Weyl candidate fails its relation check, which raises a ValueError)."""
+    import importlib
+
+    from canonalg.linalg import solve_many
+
+    def corrupting(ring, matrix, rhs):
+        solutions = solve_many(ring, matrix, rhs)
+        if None not in solutions:
+            i = next(iter(solutions[0]))
+            solutions[0][i] = ring.add(solutions[0][i], ring.one())
+        return solutions
+
+    monkeypatch.setattr(importlib.import_module(f"canonalg.{module}"), "solve_many", corrupting)
+    out = tmp_path / "r.json"
+    assert main([command, "--input", write(tmp_path, "map.endo", text), "--json", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: AssertionError: ") and "(internal bug)" in err[0]
+    assert not out.exists()
+
+
 def test_cli_unwritable_report_path_exits_2(tmp_path, capsys):
     assert main(["kraus", "--p-max", "10", "--json", str(tmp_path / "missing-dir" / "r.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -21,6 +21,7 @@ from linalg_oracle import scatter_rows
 from util import random_poly, weyl_corpus
 
 import canonalg.conjectures as conjectures
+import canonalg.poly as poly
 import canonalg.weyl as weyl
 from canonalg.conjectures import (
     _search_cap,
@@ -31,14 +32,16 @@ from canonalg.conjectures import (
 )
 from canonalg.linalg import SparseMatrix, solve_many
 from canonalg.poisson import PoissonContext, generate_symplectomorphism
-from canonalg.poly import Poly, PolyEndo, _Images, monomials_upto
+from canonalg.poly import Endo, Poly, PolyEndo, _Images, compositions, monomials_upto
 from canonalg.rings import GF, QQ, ZZ
 from canonalg.weyl import (
+    RelationError,
     WeylAlgebra,
     WeylEndo,
     central_monomial,
     derivation_shear,
     generate_central_perturbation,
+    generate_weyl_automorphism,
     inverse_degree_bound,
     inverse_search,
     position_shear,
@@ -194,3 +197,119 @@ def test_searches_refuse_integer_coefficients_at_every_cap():
 def test_cap_zero_searches_nothing():
     assert inverse_search(WeylEndo.identity(WeylAlgebra(GF(3), 1)), 0) == (None, None)
     assert inverse_search_poly(PolyEndo.identity(QQ, 1), 0) == (None, None)
+
+
+# -- the two-sided check on the search's own engine -----------------------------------
+
+
+def test_compositions_loop_matches_the_recursive_oracle():
+    for k in range(1, 7):
+        for total in range(13):
+            assert list(compositions(total, k)) == list(search_oracle.compositions(total, k)), (total, k)
+
+
+def weyl_maps(ring, seed: int) -> list[WeylEndo]:
+    """Generated automorphisms (n = 1, 2), and over small F_p central
+    perturbations and automorphisms composed with them."""
+    maps = []
+    for n in (1, 2):
+        algebra = WeylAlgebra(ring, n)
+        autos = [
+            generate_weyl_automorphism(algebra, seed + s, steps=3, max_degree=3 if n == 1 else 2) for s in range(3)
+        ]
+        maps += autos
+        if 0 < ring.p < 10:
+            perts = [generate_central_perturbation(algebra, seed + s) for s in range(2)]
+            maps += perts + [a.compose(b) for a, b in zip(autos, perts)]
+    return maps
+
+
+def corrupted(solutions: list, ring) -> list:
+    """The solutions with one unit added to the first coefficient of the first."""
+    first = dict(solutions[0])
+    i = next(iter(first))
+    first[i] = ring.add(first[i], ring.one())
+    return [first] + solutions[1:]
+
+
+def test_checked_inverse_matches_the_two_compose_oracle(monkeypatch):
+    """On every cap of every search, the check on the search's engine returns
+    what composing the candidate on both sides returns; where it finds an
+    inverse, a corrupted solution makes both raise."""
+    check, outcomes = Endo.checked_inverse, []
+
+    def both(self, basis, solutions, images):
+        def dense(sols):
+            return [None if sol is None else [sol.get(i, 0) for i in range(len(basis))] for sol in sols]
+
+        got = check(self, basis, solutions, images)
+        assert got == search_oracle.checked_inverse(self, basis, dense(solutions)), repr(self)
+        if got is not None:
+            bad = corrupted(solutions, self.ring)
+            with pytest.raises(AssertionError, match="internal bug"):
+                check(self, basis, bad, images)
+            with pytest.raises((AssertionError, RelationError)):
+                search_oracle.checked_inverse(self, basis, dense(bad))
+        outcomes.append(got is not None)
+        return got
+
+    weyl_endos = weyl_corpus() + [e for ring in RINGS for e in weyl_maps(ring, 60)]
+    poly_endos = [e for ring in RINGS for e in poly_maps(ring, 61)]
+    monkeypatch.setattr(Endo, "checked_inverse", both)
+    for endo in weyl_endos:
+        inverse_search(endo, weyl_cap(endo))
+    for endo in poly_endos:
+        inverse_search_poly(endo, poly_cap(endo))
+    assert 100 < sum(outcomes) < len(outcomes)  # both outcomes, many inverses
+
+
+@pytest.mark.parametrize("which", ["weyl", "poly"])
+def test_a_found_inverse_costs_two_engines_and_no_compose(which, monkeypatch):
+    """The search's engine and one of the inverse's: the check composes nothing."""
+    if which == "weyl":
+        algebra, x = WeylAlgebra(GF(5), 2), Poly.variable(GF(5), 2, 1)
+        endo, search = position_shear(algebra, x**3).compose(derivation_shear(algebra, x**2)), inverse_search
+    else:
+        x1, x2 = Poly.variable(QQ, 2, 1), Poly.variable(QQ, 2, 2)
+        endo, search = PolyEndo(QQ, 2, [x1 + x2**3, x2 + x1 + x2**3]), inverse_search_poly
+    engines = []
+
+    class Counting(_Images):
+        __slots__ = ()
+
+        def __init__(self, endo, max_degree):
+            engines.append(endo)
+            super().__init__(endo, max_degree)
+
+    def no_compose(self, other):
+        raise AssertionError("compose called")
+
+    monkeypatch.setattr(poly, "_Images", Counting)
+    for cls in (Endo, PolyEndo, WeylEndo):
+        monkeypatch.setattr(cls, "compose", no_compose)
+    inverse, cap = search(endo, 8)
+    assert inverse is not None and len(engines) == 2
+    assert engines[0] is endo and engines[1] is inverse
+
+
+@pytest.mark.parametrize("which", ["weyl", "poly"])
+def test_a_corrupted_solution_is_an_internal_bug(which, monkeypatch):
+    """A solver fault never reads as a verdict or as ill-formed input: on the
+    Weyl side the candidate's relation failure becomes the AssertionError."""
+    if which == "weyl":
+        algebra = WeylAlgebra(GF(3), 1)
+        d, x = algebra.generators()
+        module, endo, search = weyl, WeylEndo(algebra, [d, x + d * d]), inverse_search
+    else:
+        x1, x2 = Poly.variable(GF(3), 2, 1), Poly.variable(GF(3), 2, 2)
+        endo = PolyEndo(GF(3), 2, [x1 + (x2 * x2).scale(2), x2 + Poly.one(GF(3), 2)])
+        module, search = conjectures, inverse_search_poly
+
+    def corrupting(ring, matrix, rhs):
+        solutions = solve_many(ring, matrix, rhs)
+        return corrupted(solutions, ring) if None not in solutions else solutions
+
+    monkeypatch.setattr(module, "solve_many", corrupting)
+    with pytest.raises(AssertionError, match="internal bug") as info:
+        search(endo, 4)
+    assert isinstance(info.value.__cause__, RelationError) == (which == "weyl")
