@@ -6,11 +6,16 @@ counterexample was found (the witness is in the report), 2 = invalid input,
 stderr and no report).
 A machine-readable report can be written with ``--json``; identical inputs
 and seeds produce byte-identical reports.
+
+The argument parser is built on the first :func:`main` call and shared by
+every later call in the process; each call parses into a fresh namespace, so
+no argument value carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -27,7 +32,7 @@ from .conjectures import (
 from .parsing import ParseError, parse_endo_file
 from .poly import monomial_count
 from .poisson import PoissonContext, check_symplectic
-from .reduction import check_degree_preservation, induced_center_endo, check_center_symplectic
+from .reduction import center_degree_report, check_center_symplectic
 from .report import build_report, dump_report, input_digest
 from .rings import NonUnitError, ring_from_text
 from .weyl import (
@@ -43,6 +48,7 @@ from .weyl import (
 _MONOMIAL_CAP = 4000
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="canonalg",
@@ -158,8 +164,8 @@ def _run_reduce(args):
     text, raw = _load_file(args)
     ef = parse_endo_file(text)
     endo = _weyl_endo_from_file(ef)
-    degrees = check_degree_preservation(endo)
     sym = check_center_symplectic(endo)
+    degrees = center_degree_report(sym.center)
     names = [f"X{i}" for i in range(1, ef.nvars + 1)]
     payload = {
         "ring": str(ef.ring),
@@ -289,8 +295,7 @@ def _summary_lines(command: str, payload: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code, payload, digest = _HANDLERS[args.command](args)
         text = dump_report(build_report(args.command, digest, payload, args.seed))

@@ -407,6 +407,8 @@ def chain_probe(endo: WeylEndo, monomial_cap: int = 4000) -> ChainProbeReport:
 
 # -- the quartic reducibility check -------------------------------------------------------
 
+KRAUS_P_MAX_BUDGET = 20_000  # largest p_max the scan accepts; its time grows as p_max^2
+
 
 @dataclass
 class KrausReport:
@@ -470,6 +472,8 @@ def kraus_check(p_max: int) -> KrausReport:
     """
     if p_max < 2:
         raise ValueError("p_max must be at least 2")
+    if p_max > KRAUS_P_MAX_BUDGET:
+        raise ValueError(f"p_max {p_max} is over the budget of {KRAUS_P_MAX_BUDGET}")
     factorizations = {}
     all_reducible = True
     for p in primes_upto(p_max):

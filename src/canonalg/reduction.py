@@ -76,7 +76,12 @@ def induced_center_endo(endo: WeylEndo) -> CenterEndo:
 
 def check_degree_preservation(endo: WeylEndo) -> DegreeReport:
     """deg of the endomorphism and of its center restriction; must agree."""
-    center = induced_center_endo(endo)
+    return center_degree_report(induced_center_endo(endo))
+
+
+def center_degree_report(center: CenterEndo) -> DegreeReport:
+    """:func:`check_degree_preservation` on an already computed restriction."""
+    endo = center.source
     deg_endo = endo.degree()
     deg_center = center.endo.degree()
     witness = None

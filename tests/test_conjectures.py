@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from canonalg import conjectures
 from canonalg.conjectures import (
     chain_probe,
     check_instance,
@@ -203,6 +204,15 @@ def test_kraus_examples():
     assert set(rep.factorizations) == {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53}
     with pytest.raises(ValueError):
         kraus_check(1)
+
+
+def test_kraus_p_max_budget(monkeypatch):
+    monkeypatch.setattr(conjectures, "KRAUS_P_MAX_BUDGET", 53)
+    assert kraus_check(53).all_reducible  # at the budget
+    with pytest.raises(ValueError, match="budget"):
+        kraus_check(54)  # past it
+    with pytest.raises(ValueError, match="budget"):
+        counterexample_suite(kraus_p_max=54)
 
 
 def test_suite_smoke():

@@ -13,11 +13,14 @@ and review the diff.
 
 from __future__ import annotations
 
+import argparse
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from canonalg import cli
 from canonalg.cli import main
 from canonalg.poisson import PoissonContext, generate_symplectomorphism
 from canonalg.rings import GF, QQ
@@ -88,11 +91,70 @@ def _run(case: str, out: Path) -> int:
     return main(argv + ["--json", str(out)])
 
 
+def _assert_golden(case: str, out: Path) -> None:
+    out.unlink(missing_ok=True)
+    assert _run(case, out) == CASES[case][1]
+    assert out.read_bytes() == (GOLDEN / f"{case}.json").read_bytes(), case
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_report_matches_golden(case, tmp_path):
+    _assert_golden(case, tmp_path / "report.json")
+
+
+# The parser is built once per process and shared by every main() call; the
+# tests below pin that sharing it carries nothing from one call to the next.
+
+
+def test_golden_cases_twice_in_shuffled_order(tmp_path):
+    order = sorted(CASES) * 2
+    random.Random(13).shuffle(order)
+    for case in order:
+        _assert_golden(case, tmp_path / "report.json")
+
+
+def test_degree_cap_does_not_carry_over(tmp_path):
+    _assert_golden("invert-poly-F3-cap1", tmp_path / "report.json")
+    _assert_golden("invert-poly-Q", tmp_path / "report.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce"],
+        ["no-such-command"],
+        ["check-instance", "--tag", "XYZ", "--input", _input("poly-F3")],
+        ["invert", "--input", _input("poly-F3"), "--degree-cap", "abc"],
+    ],
+    ids=["missing-input", "unknown-command", "bad-tag", "bad-degree-cap"],
+)
+def test_usage_error_exits_2_and_leaves_the_parser_intact(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert _run(case, out) == CASES[case][1]
-    assert out.read_bytes() == (GOLDEN / f"{case}.json").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json", str(out)])
+    assert exc.value.code == 2
+    assert "usage: canonalg" in capsys.readouterr().err
+    assert not out.exists()
+    _assert_golden("invert-poly-F3-cap1", out)
+    _assert_golden("check-instance-CJC-F3", out)
+
+
+def test_main_builds_the_parser_once(monkeypatch, tmp_path):
+    builds = []  # build_parser() adds the subcommands to its parser once
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(parser, **kwargs):
+        builds.append(parser.prog)
+        return add_subparsers(parser, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli.build_parser.cache_clear()
+    try:
+        for case in ("kraus", "invert-poly-F3-cap1", "kraus", "reduce-F3", "center-slice-F3"):
+            _assert_golden(case, tmp_path / "report.json")
+    finally:
+        cli.build_parser.cache_clear()
+    assert builds == ["canonalg"]
 
 
 def test_generators_match_golden():

@@ -110,10 +110,16 @@ BAD_WEYL = "ring=Q kind=weyl n=1\nY1 -> Y2\nY2 -> Y1\n"
 NJC_POLY = "ring=F2 kind=poly m=1\nX1 -> X1 - X1^2\n"
 
 
-def test_cli_reduce_and_report_schema(tmp_path):
+def test_cli_reduce_and_report_schema(tmp_path, monkeypatch):
+    from canonalg import reduction
+
+    calls = []  # sigma|Z is computed once and shared by both checks
+    induced = reduction.induced_center_endo
+    monkeypatch.setattr(reduction, "induced_center_endo", lambda endo: calls.append(endo) or induced(endo))
     f = write(tmp_path, "shear.endo", SHEAR_WEYL)
     out = str(tmp_path / "report.json")
     assert main(["reduce", "--input", f, "--json", out]) == 0
+    assert len(calls) == 1
     report = json.loads(open(out).read())
     validate_report(report)
     assert report["payload"]["center_images"] == ["X1", "X1^2 + X2"]
@@ -281,6 +287,16 @@ def test_cli_corrupted_solution_exits_3(command, text, module, tmp_path, monkeyp
 def test_cli_unwritable_report_path_exits_2(tmp_path, capsys):
     assert main(["kraus", "--p-max", "10", "--json", str(tmp_path / "missing-dir" / "r.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["kraus", "suite"])
+def test_cli_p_max_over_budget_exits_2(command, tmp_path, capsys):
+    from canonalg.conjectures import KRAUS_P_MAX_BUDGET
+
+    out = tmp_path / "r.json"
+    assert main([command, "--p-max", str(KRAUS_P_MAX_BUDGET + 1), "--json", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: p_max {KRAUS_P_MAX_BUDGET + 1} is over the budget of {KRAUS_P_MAX_BUDGET}\n"
+    assert not out.exists()
 
 
 def test_cli_negative_degree_cap_exits_2(tmp_path, capsys):
