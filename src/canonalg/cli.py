@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .conjectures import (
+    TAGS,
     chain_probe,
     check_instance,
     counterexample_suite,
@@ -29,8 +30,8 @@ from .conjectures import (
     inverse_search_poly,
     kraus_check,
 )
-from .parsing import ParseError, parse_endo_file
-from .poly import monomial_count
+from .parsing import EndoFile, ParseError, parse_endo_file
+from .poly import default_names, monomial_count
 from .poisson import PoissonContext, check_symplectic
 from .reduction import center_degree_report, check_center_symplectic
 from .report import build_report, dump_report, input_digest
@@ -48,6 +49,14 @@ from .weyl import (
 _MONOMIAL_CAP = 4000
 
 
+def u64(text: str) -> int:
+    """An unsigned 64-bit integer argument; anything else is a usage error."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"{value} is outside [0, 2^64)")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -60,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if needs_input:
             p.add_argument("--input", required=True, help="endomorphism definition file")
-        p.add_argument("--seed", type=int, default=0, help="echoed into the report")
+        p.add_argument("--seed", type=u64, default=0, help="echoed into the report, 0 <= seed < 2^64")
         p.add_argument("--json", help="write the JSON report to this path")
         for flag, kwargs in extra.items():
             p.add_argument(flag, **kwargs)
@@ -71,11 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("reduce", True)
     add("invert", True, **{"--degree-cap": dict(type=int, default=None)})
     add("invert-weyl", True, **{"--degree-cap": dict(type=int, default=None)})
-    add(
-        "check-instance",
-        True,
-        **{"--tag": dict(required=True, choices=["CJC", "NJC", "CPC", "NPC", "CDC", "NDC"])},
-    )
+    add("check-instance", True, **{"--tag": dict(required=True, choices=TAGS)})
     add(
         "center-slice",
         False,
@@ -103,14 +108,18 @@ def _check_degree_cap(cap: int, nvars: int) -> None:
         )
 
 
-def _load_file(args) -> tuple[str, bytes]:
+def _read(args, *kinds: str) -> tuple[EndoFile, str]:
+    """The ``--input`` file, parsed and refused unless its kind is one of
+    ``kinds``, with the digest of its bytes: (EndoFile, digest)."""
     data = Path(args.input).read_bytes()
-    return data.decode("utf-8"), data
+    ef = parse_endo_file(data.decode("utf-8"))
+    if ef.kind not in kinds:
+        wanted = " or ".join(f"kind={kind}" for kind in kinds)
+        raise ParseError(f"{args.command} needs {wanted} input, got kind={ef.kind}")
+    return ef, input_digest(data)
 
 
-def _weyl_endo_from_file(ef) -> WeylEndo:
-    if ef.kind != "weyl":
-        raise ParseError("this command needs kind=weyl input")
+def _weyl_endo(ef: EndoFile) -> WeylEndo:
     return WeylEndo(ef.weyl_algebra(), list(ef.images))
 
 
@@ -119,10 +128,7 @@ def _image_texts(images, names) -> list[str]:
 
 
 def _run_check_symplectic(args):
-    text, raw = _load_file(args)
-    ef = parse_endo_file(text)
-    if ef.kind != "poisson":
-        raise ParseError("check-symplectic needs kind=poisson input")
+    ef, digest = _read(args, "poisson")
     ctx = PoissonContext(ef.ring, ef.n)
     rec = check_symplectic(ctx, ef.poly_endo())
     payload = {
@@ -135,14 +141,11 @@ def _run_check_symplectic(args):
         "assertion_violated": rec.assertion_violated,
     }
     code = 1 if rec.assertion_violated else 0
-    return code, payload, input_digest(raw)
+    return code, payload, digest
 
 
 def _run_check_weyl_endo(args):
-    text, raw = _load_file(args)
-    ef = parse_endo_file(text)
-    if ef.kind != "weyl":
-        raise ParseError("check-weyl-endo needs kind=weyl input")
+    ef, digest = _read(args, "weyl")
     algebra = ef.weyl_algebra()
     ok, witness = verify_endo_relations(algebra, list(ef.images))
     names = ef.names()
@@ -157,20 +160,17 @@ def _run_check_weyl_endo(args):
             (im.degree() for im in ef.images if not im.is_zero()), default=None
         ),
     }
-    return 0, payload, input_digest(raw)
+    return 0, payload, digest
 
 
 def _run_reduce(args):
-    text, raw = _load_file(args)
-    ef = parse_endo_file(text)
-    endo = _weyl_endo_from_file(ef)
-    sym = check_center_symplectic(endo)
+    ef, digest = _read(args, "weyl")
+    sym = check_center_symplectic(_weyl_endo(ef))
     degrees = center_degree_report(sym.center)
-    names = [f"X{i}" for i in range(1, ef.nvars + 1)]
     payload = {
         "ring": str(ef.ring),
         "n": ef.n,
-        "center_images": _image_texts(sym.center.endo.images, names),
+        "center_images": _image_texts(sym.center.endo.images, default_names(ef.nvars)),
         "degree": {
             "endomorphism": degrees.deg_endo,
             "center": degrees.deg_center,
@@ -179,18 +179,16 @@ def _run_reduce(args):
         "center_symplectic": sym.symplectic,
         "falsification": (not degrees.equal) or (not sym.symplectic),
     }
-    return (1 if payload["falsification"] else 0), payload, input_digest(raw)
+    return (1 if payload["falsification"] else 0), payload, digest
 
 
 def _run_invert(args):
-    text, raw = _load_file(args)
-    ef = parse_endo_file(text)
     if args.command == "invert-weyl":
-        endo = _weyl_endo_from_file(ef)
+        ef, digest = _read(args, "weyl")
+        endo = _weyl_endo(ef)
         bound, search, decide = inverse_degree_bound(endo), inverse_search, decide_weyl_automorphism
-    elif ef.kind == "weyl":
-        raise ParseError("invert needs kind=poly or kind=poisson input (see invert-weyl)")
     else:
+        ef, digest = _read(args, "poly", "poisson")
         endo = ef.poly_endo()
         bound, search, decide = gabber_degree_bound(endo), inverse_search_poly, decide_poly_automorphism
     if args.degree_cap is not None:
@@ -209,21 +207,15 @@ def _run_invert(args):
         "certified_non_automorphism": inverse is None and searched >= bound,
         "inverse_images": None if inverse is None else _image_texts(inverse.images, ef.names()),
     }
-    return 0, payload, input_digest(raw)
+    return 0, payload, digest
 
 
 def _run_check_instance(args):
-    text, raw = _load_file(args)
-    ef = parse_endo_file(text)
-    tag = args.tag
-    needs = {"JC": "poly", "PC": "poisson", "DC": "weyl"}[tag[1:]]
-    if ef.kind != needs:
-        raise ParseError(f"tag {tag} needs kind={needs} input, got kind={ef.kind}")
-    endo = _weyl_endo_from_file(ef) if needs == "weyl" else ef.poly_endo()
-    verdict = check_instance(tag, endo)
+    ef, digest = _read(args, {"JC": "poly", "PC": "poisson", "DC": "weyl"}[args.tag[1:]])
+    verdict = check_instance(args.tag, _weyl_endo(ef) if ef.kind == "weyl" else ef.poly_endo())
     payload = verdict.to_payload()
     code = 1 if verdict.biconditional_holds is False else 0
-    return code, payload, input_digest(raw)
+    return code, payload, digest
 
 
 def _run_center_slice(args):
@@ -257,11 +249,9 @@ def _run_suite(args):
 
 
 def _run_probe_chain(args):
-    text, raw = _load_file(args)
-    ef = parse_endo_file(text)
-    endo = _weyl_endo_from_file(ef)
-    rec = chain_probe(endo)
-    return (0 if rec.consistent else 1), rec.to_payload(), input_digest(raw)
+    ef, digest = _read(args, "weyl")
+    rec = chain_probe(_weyl_endo(ef))
+    return (0 if rec.consistent else 1), rec.to_payload(), digest
 
 
 _HANDLERS = {

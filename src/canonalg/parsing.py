@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Poly, PolyEndo
+from .poly import Poly, PolyEndo, default_names
 from .rings import Ring, ring_from_text
 from .weyl import WeylAlgebra, WeylElement
 
@@ -232,7 +232,7 @@ def eval_weyl(ast, algebra: WeylAlgebra, names: Sequence[str]) -> WeylElement:
 
 
 def parse_poly(text: str, ring: Ring, nvars: int, letter: str = "X") -> Poly:
-    names = [f"{letter}{i}" for i in range(1, nvars + 1)]
+    names = default_names(nvars, letter)
     ast = parse_expression(text)
     _check_names(ast, names, 0)
     return eval_poly(ast, ring, names)
@@ -257,8 +257,7 @@ class EndoFile:
     images: tuple
 
     def names(self) -> list[str]:
-        letter = "Y" if self.kind == "weyl" else "X"
-        return [f"{letter}{i}" for i in range(1, self.nvars + 1)]
+        return default_names(self.nvars, "Y" if self.kind == "weyl" else "X")
 
     def poly_endo(self) -> PolyEndo:
         if self.kind == "weyl":
@@ -304,8 +303,7 @@ def parse_endo_file(text: str) -> EndoFile:
         n = int(fields["n"])
         nvars = 2 * n
 
-    letter = "Y" if kind == "weyl" else "X"
-    names = [f"{letter}{i}" for i in range(1, nvars + 1)]
+    names = default_names(nvars, "Y" if kind == "weyl" else "X")
     body = lines[1:]
     if len(body) != nvars:
         raise ParseError(

@@ -262,9 +262,6 @@ class Poly(Terms):
         """The coefficient of the empty monomial (0 if absent)."""
         return self.terms.get((0,) * self.nvars, self.ring.zero())
 
-    def coeff(self, exps: Exponents):
-        return self.terms.get(tuple(exps), self.ring.zero())
-
     # -- multiplication, calculus and substitution -----------------------------------
 
     def __mul__(self, other: "Poly") -> "Poly":

@@ -271,3 +271,71 @@ def test_decide_weyl_unknown_when_bound_unreachable():
     assert decision.status == "unknown"
     assert decision.certified_bound == 125
     assert decision.searched_degree <= 2
+
+
+_NOT_EVALUATED = ["extension degree not evaluated: fiber counting supported for at most 2 variables"]
+_SYMPLECTIC = {"symplectic": True}
+
+
+# tag, map, automorphism, flags, hypothesis_holds, biconditional_holds,
+# estimated, witnesses; at each boundary where a clause starts or stops
+# applying: p <= n (a jacobian clause on CPC and CDC), p = 0 (vacuous clauses
+# for DC, none read off a center) and more than two variables (the
+# extension degree is not evaluated).
+@pytest.mark.parametrize(
+    "tag,make,status,flags,hypothesis,biconditional,estimated,witnesses",
+    [
+        # F2, n = 2: p <= n, so the jacobian of sigma|Z is a hypothesis
+        (
+            "CDC", lambda: frobenius_deficit_weyl(WeylAlgebra(GF(2), 2)), "no",
+            {**_SYMPLECTIC, "extension_degree_ok": None, "jacobian_nonzero": True}, None, None, True, _NOT_EVALUATED,
+        ),
+        ("CDC", lambda: WeylEndo.identity(WeylAlgebra(GF(3), 2)), "yes", {**_SYMPLECTIC, "extension_degree_ok": None}, None, None, True, _NOT_EVALUATED),
+        ("CDC", lambda: frobenius_deficit_weyl(WeylAlgebra(GF(2), 1)), "no", {**_SYMPLECTIC, "extension_degree_ok": False}, False, True, True, []),
+        (
+            "CPC", lambda: frobenius_deficit_poly(GF(2), 4), "no",
+            {**_SYMPLECTIC, "extension_degree_ok": None, "jacobian_nonzero": True}, None, None, True, _NOT_EVALUATED,
+        ),
+        ("CPC", lambda: PolyEndo.identity(GF(3), 4), "yes", {**_SYMPLECTIC, "extension_degree_ok": None}, None, None, True, _NOT_EVALUATED),
+        # NDC over F_p records the center's symplectic flag and nothing else
+        (
+            "NDC", lambda: frobenius_deficit_weyl(WeylAlgebra(GF(3), 1)), "no", _SYMPLECTIC, True, False, False,
+            ["hypotheses hold but the map is proven not an automorphism"],
+        ),
+        # over Q: p = 0 <= n, and no nonzero degree is a multiple of 0
+        ("CJC", lambda: PolyEndo.identity(QQ, 2), "yes", {"extension_degree_ok": True, "jacobian_nonzero": True}, True, True, False, []),
+        ("CDC", lambda: WeylEndo.identity(WeylAlgebra(QQ, 1)), "yes", {"extension_degree_ok": True, "jacobian_nonzero": True}, True, True, False, []),
+        ("NDC", lambda: WeylEndo.identity(WeylAlgebra(QQ, 1)), "yes", {}, True, True, False, []),
+        (
+            "CPC", lambda: PolyEndo.identity(QQ, 2), "yes",
+            {**_SYMPLECTIC, "extension_degree_ok": True, "jacobian_nonzero": True}, True, True, False, [],
+        ),
+        ("NPC", lambda: PolyEndo.identity(QQ, 2), "yes", _SYMPLECTIC, True, True, False, []),
+    ],
+    ids=[
+        "CDC-F2-n2", "CDC-F3-n2", "CDC-F2-n1", "CPC-F2-n2", "CPC-F3-n2", "NDC-F3",
+        "CJC-Q", "CDC-Q", "NDC-Q", "CPC-Q", "NPC-Q",
+    ],
+)
+def test_check_instance_clauses_per_tag(tag, make, status, flags, hypothesis, biconditional, estimated, witnesses):
+    verdict = check_instance(tag, make())
+    assert verdict.automorphism == status
+    assert verdict.flags == flags
+    assert verdict.hypothesis_holds is hypothesis
+    assert verdict.biconditional_holds is biconditional
+    assert verdict.estimated is estimated
+    assert verdict.witnesses == witnesses
+
+
+def test_suite_refuses_an_over_budget_p_max_before_any_case(monkeypatch, capsys):
+    from canonalg.cli import main
+
+    def no_case(*args, **kwargs):
+        raise AssertionError("a suite case ran before the p_max budget check")
+
+    monkeypatch.setattr(conjectures, "check_instance", no_case)
+    over = conjectures.KRAUS_P_MAX_BUDGET + 1
+    with pytest.raises(ValueError, match="over the budget"):
+        counterexample_suite(kraus_p_max=over)
+    assert main(["suite", "--p-max", str(over)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: p_max {over} is over the budget")

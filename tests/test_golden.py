@@ -125,8 +125,10 @@ def test_degree_cap_does_not_carry_over(tmp_path):
         ["no-such-command"],
         ["check-instance", "--tag", "XYZ", "--input", _input("poly-F3")],
         ["invert", "--input", _input("poly-F3"), "--degree-cap", "abc"],
+        ["kraus", "--p-max", "10", "--seed", "-5"],
+        ["kraus", "--p-max", "10", "--seed", str(2**64)],
     ],
-    ids=["missing-input", "unknown-command", "bad-tag", "bad-degree-cap"],
+    ids=["missing-input", "unknown-command", "bad-tag", "bad-degree-cap", "negative-seed", "seed-past-u64"],
 )
 def test_usage_error_exits_2_and_leaves_the_parser_intact(argv, tmp_path, capsys):
     out = tmp_path / "report.json"

@@ -193,6 +193,34 @@ def test_cli_check_instance_exit_codes(tmp_path):
     assert main(["check-instance", "--tag", "NDC", "--input", g]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check-symplectic"], "check-symplectic needs kind=poisson input, got kind=weyl"),
+        (["invert"], "invert needs kind=poly or kind=poisson input, got kind=weyl"),
+        (["check-instance", "--tag", "NJC"], "check-instance needs kind=poly input, got kind=weyl"),
+    ],
+    ids=["check-symplectic", "invert", "check-instance"],
+)
+def test_cli_kind_mismatch_exits_2_with_one_message(argv, message, tmp_path, capsys):
+    w = write(tmp_path, "shear.endo", SHEAR_WEYL)
+    out = tmp_path / "r.json"
+    assert main(argv + ["--input", w, "--json", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    g = write(tmp_path, "njc.endo", NJC_POLY)
+    for command in ("check-weyl-endo", "reduce", "invert-weyl", "probe-chain"):
+        assert main([command, "--input", g]) == 2
+        assert capsys.readouterr().err == f"error: {command} needs kind=weyl input, got kind=poly\n"
+
+
+def test_cli_seed_spans_the_u64_range(tmp_path):
+    out = tmp_path / "r.json"
+    for seed in (0, 2**64 - 1):
+        assert main(["kraus", "--p-max", "10", "--seed", str(seed), "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == seed
+
+
 def test_cli_input_errors_exit_2(tmp_path):
     missing = str(tmp_path / "nope.endo")
     assert main(["reduce", "--input", missing]) == 2

@@ -203,6 +203,21 @@ def test_center_slice_examples():
     assert (r.dimension_found, r.dimension_expected, r.match) == (6, 6, True)
 
 
+def test_center_slice_reads_containment_off_its_kernel_columns(monkeypatch):
+    import canonalg.weyl as weylmod
+
+    calls = []
+
+    def counting(a, b):
+        calls.append(a)
+        return commutator(a, b)
+
+    monkeypatch.setattr(weylmod, "commutator", counting)
+    r = center_slice_check(WeylAlgebra(GF(3), 1), 6)
+    assert (r.dimension_found, r.dimension_expected, r.match) == (6, 6, True)
+    assert len(calls) == 2 * 28  # one per generator and monomial of degree <= 6 in 2 letters
+
+
 def test_elementary_automorphisms():
     A = WeylAlgebra(GF(5), 2)
     h = Poly.variable(GF(5), 2, 1) * Poly.variable(GF(5), 2, 2)
