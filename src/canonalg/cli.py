@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .conjectures import (
+    MONOMIAL_BUDGET,
     TAGS,
     chain_probe,
     check_instance,
@@ -45,9 +46,6 @@ from .weyl import (
     inverse_search,
     verify_endo_relations,
 )
-
-_MONOMIAL_CAP = 4000
-
 
 def u64(text: str) -> int:
     """An unsigned 64-bit integer argument; anything else is a usage error."""
@@ -96,16 +94,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_degree_cap(cap: int, nvars: int) -> None:
-    """Refuse a negative cap, or one whose monomial basis exceeds the budget."""
+def _check_degree_cap(cap: int, nvars: int) -> int:
+    """Refuse a negative cap, or one whose monomial basis exceeds the budget;
+    returns the basis size."""
     if cap < 0:
         raise ValueError(f"--degree-cap must be >= 0, got {cap}")
     size = monomial_count(nvars, cap)
-    if size > _MONOMIAL_CAP:
+    if size > MONOMIAL_BUDGET:
         raise ValueError(
             f"--degree-cap {cap} needs {size} monomials in {nvars} variables, "
-            f"over the budget of {_MONOMIAL_CAP}"
+            f"over the budget of {MONOMIAL_BUDGET}"
         )
+    return size
 
 
 def _read(args, *kinds: str) -> tuple[EndoFile, str]:
@@ -196,7 +196,7 @@ def _run_invert(args):
         inverse, found = search(endo, args.degree_cap)
         searched = args.degree_cap
     else:
-        decision = decide(endo, _MONOMIAL_CAP)
+        decision = decide(endo)
         inverse, found, searched = decision.inverse, decision.found_degree, decision.searched_degree
     payload = {
         "ring": str(ef.ring),
@@ -221,7 +221,10 @@ def _run_check_instance(args):
 def _run_center_slice(args):
     ring = ring_from_text(args.ring)
     algebra = WeylAlgebra(ring, args.n)
-    _check_degree_cap(args.degree_cap, 2 * args.n)
+    # one commutator per basis monomial and generator, each term keyed by 2n exponents
+    work = _check_degree_cap(args.degree_cap, 2 * args.n) * (2 * args.n) ** 2
+    if work > 16 * MONOMIAL_BUDGET:
+        raise ValueError(f"--n {args.n} needs {work} commutator exponents, over the budget of {16 * MONOMIAL_BUDGET}")
     rec = center_slice_check(algebra, args.degree_cap)
     payload = {
         "ring": str(ring),

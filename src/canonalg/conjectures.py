@@ -55,6 +55,9 @@ class AutomorphismDecision:
     inverse: object | None = None
 
 
+MONOMIAL_BUDGET = 4000  # basis monomials a degree-bounded search or slice may form
+
+
 @lru_cache(maxsize=256)  # called once per decision with a handful of distinct keys
 def _max_degree_within(nvars: int, monomial_cap: int) -> int:
     d = 0
@@ -85,7 +88,7 @@ def _decide(endo, bound: int, search, monomial_cap: int, quick_cap: int) -> Auto
 
 
 def decide_poly_automorphism(
-    endo: PolyEndo, monomial_cap: int = 4000, quick_cap: int = 4
+    endo: PolyEndo, monomial_cap: int = MONOMIAL_BUDGET, quick_cap: int = 4
 ) -> AutomorphismDecision:
     if all(im.is_zero() or im.is_constant() for im in endo.images):
         return AutomorphismDecision("no", None, 0, 0)
@@ -93,14 +96,14 @@ def decide_poly_automorphism(
 
 
 def decide_weyl_automorphism(
-    endo: WeylEndo, monomial_cap: int = 4000, quick_cap: int = 4
+    endo: WeylEndo, monomial_cap: int = MONOMIAL_BUDGET, quick_cap: int = 4
 ) -> AutomorphismDecision:
     return _decide(endo, weylmod.inverse_degree_bound(endo), weylmod.inverse_search, monomial_cap, quick_cap)
 
 
 # -- field-extension degree estimation ------------------------------------------------
 
-FIBER_POINT_BUDGET = 1 << 18  # points of F_p^2 a 2-variable fiber count may enumerate (p <= 509)
+FIBER_POINT_BUDGET = 1 << 18  # points of F_p^m a fiber count may enumerate (p <= 509 for m = 2)
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,13 @@ def extension_degree_estimate(endo: PolyEndo) -> ExtensionDegreeReport:
     """Degree of the induced function-field extension, by fiber counting.
 
     For one variable the degree is exactly the polynomial degree (reported
-    with a separability flag from gcd(F, F')).  For two variables all fibers
-    over the base field are enumerated; fibers larger than the Bezout bound
-    are treated as blowups and the estimate is the largest remaining fiber,
-    a lower-bound heuristic only.  More than 2 variables, or a plane F_p^2
-    of more than ``FIBER_POINT_BUDGET`` points, raise ``ValueError``.
+    with a separability flag from gcd(F, F')); its fibers are counted only
+    while p is within ``FIBER_POINT_BUDGET``, else ``max_fiber`` is None.
+    For two variables all fibers over the base field are enumerated; fibers
+    larger than the Bezout bound are treated as blowups and the estimate is
+    the largest remaining fiber, a lower-bound heuristic only.  More than 2
+    variables, or a plane F_p^2 of more than ``FIBER_POINT_BUDGET`` points,
+    raise ``ValueError``.
     """
     ring = endo.ring
     p = ring.characteristic()
@@ -166,18 +171,18 @@ def extension_degree_estimate(endo: PolyEndo) -> ExtensionDegreeReport:
     images = endo.images
     if any(im.is_zero() or im.is_constant() for im in images):
         return ExtensionDegreeReport(None, False, None, None, 0, 0, True)
-    if m == 2 and p * p > FIBER_POINT_BUDGET:
+    counted = p**m <= FIBER_POINT_BUDGET
+    if m == 2 and not counted:
         raise ValueError(f"fiber counting over F{p}^2 needs {p * p} points, over the budget of {FIBER_POINT_BUDGET}")
-    values = [ring.of_int(a) for a in range(p)]
-    fibers = Counter(tuple(f.evaluate(pt) for f in images) for pt in product(values, repeat=m))
+    points = product(range(p), repeat=m) if counted else ()  # residues 0..p-1 are the elements of F_p
+    fibers = Counter(tuple(f.evaluate(pt) for f in images) for pt in points)
 
     if m == 1:
         f = images[0]
         fp = f.partial(1)
-        separable = fp.is_zero() is False and _uni_gcd_is_trivial(
-            ring, _uni_coeffs(f), _uni_coeffs(fp)
-        )
-        return ExtensionDegreeReport(f.degree(), True, separable, max(fibers.values()), len(fibers), 0, False)
+        separable = not fp.is_zero() and _uni_gcd_is_trivial(ring, _uni_coeffs(f), _uni_coeffs(fp))
+        top = max(fibers.values(), default=None)
+        return ExtensionDegreeReport(f.degree(), True, separable, top, len(fibers), 0, False)
 
     bezout = images[0].degree() * images[1].degree()
     finite = [size for size in fibers.values() if size <= bezout]
@@ -252,7 +257,7 @@ def _extension_flag(endo: PolyEndo, witnesses: list) -> tuple[bool | None, bool]
     return rep.estimate % p != 0, not rep.exact
 
 
-def check_instance(tag: str, endo, monomial_cap: int = 4000) -> InstanceVerdict:
+def check_instance(tag: str, endo) -> InstanceVerdict:
     """Evaluate one conjecture instance; see the module docstring for semantics.
 
     Each family decides the map and names the polynomial map its hypotheses
@@ -269,7 +274,7 @@ def check_instance(tag: str, endo, monomial_cap: int = 4000) -> InstanceVerdict:
         if not isinstance(endo, PolyEndo):
             raise ValueError(f"{tag} expects a polynomial endomorphism")
         ring, n = endo.ring, endo.nvars
-        decision = decide_poly_automorphism(endo, monomial_cap)
+        decision = decide_poly_automorphism(endo)
         hyp_map = endo
     elif tag in ("CPC", "NPC"):
         if not isinstance(endo, PolyEndo) or endo.nvars % 2:
@@ -278,13 +283,13 @@ def check_instance(tag: str, endo, monomial_cap: int = 4000) -> InstanceVerdict:
         if not is_symplectic(PoissonContext(ring, n), endo):
             raise ValueError(f"{tag} expects a symplectic endomorphism")
         flags["symplectic"] = True
-        decision = decide_poly_automorphism(endo, monomial_cap)
+        decision = decide_poly_automorphism(endo)
         hyp_map = endo
     else:  # CDC / NDC
         if not isinstance(endo, WeylEndo):
             raise ValueError(f"{tag} expects a relation-verified Weyl endomorphism")
         ring, n = endo.algebra.ring, endo.algebra.n
-        decision = decide_weyl_automorphism(endo, monomial_cap)
+        decision = decide_weyl_automorphism(endo)
         hyp_map = None
         if ring.characteristic():
             hyp_map = induced_center_endo(endo).endo
@@ -359,7 +364,7 @@ class ChainProbeReport:
         }
 
 
-def chain_probe(endo: WeylEndo, monomial_cap: int = 4000) -> ChainProbeReport:
+def chain_probe(endo: WeylEndo) -> ChainProbeReport:
     """Instance-level consistency between an endomorphism and its center restriction.
 
     Checks: an invertible endomorphism must have an invertible restriction
@@ -371,8 +376,8 @@ def chain_probe(endo: WeylEndo, monomial_cap: int = 4000) -> ChainProbeReport:
     sym = check_center_symplectic(endo)
     if not sym.symplectic:
         events.append("center restriction is not symplectic: " + repr(sym.center.endo))
-    wd = decide_weyl_automorphism(endo, monomial_cap)
-    cd = decide_poly_automorphism(sym.center.endo, monomial_cap)
+    wd = decide_weyl_automorphism(endo)
+    cd = decide_poly_automorphism(sym.center.endo)
     if wd.status == "yes" and cd.status == "no":
         events.append(
             "endomorphism invertible but center restriction proven non-invertible "
@@ -496,18 +501,13 @@ class SuiteReport:
 
 def frobenius_deficit_poly(ring: Ring, nvars: int) -> PolyEndo:
     """The map (X_1 - X_1^p, X_2, ..., X_m) over F_p."""
-    p = ring.characteristic()
-    images = [Poly.variable(ring, nvars, 1) - Poly.variable(ring, nvars, 1) ** p]
-    images += [Poly.variable(ring, nvars, i) for i in range(2, nvars + 1)]
-    return PolyEndo(ring, nvars, images)
+    x = PolyEndo.identity(ring, nvars).images
+    return PolyEndo(ring, nvars, [x[0] - x[0] ** ring.characteristic(), *x[1:]])
 
 
 def frobenius_deficit_weyl(algebra) -> WeylEndo:
-    """The map (Y_1 - Y_1^p, Y_2, ..., Y_2n) over F_p."""
-    p = algebra.ring.characteristic()
-    images = [algebra.generator(1) - algebra.generator(1) ** p]
-    images += [algebra.generator(i) for i in range(2, algebra.ngens + 1)]
-    return WeylEndo(algebra, images)
+    """The map (Y_1 - Y_1^p, Y_2, ..., Y_2n) over F_p, quantized from 2n variables."""
+    return weylmod.quantized(algebra, frobenius_deficit_poly(algebra.ring, algebra.ngens))
 
 
 def counterexample_suite(kraus_p_max: int = 1000) -> SuiteReport:

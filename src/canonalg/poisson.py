@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 
-from .poly import Poly, PolyEndo, PolyMatrix, compose_random_steps, random_unit, reduce_sums
+from .poly import Poly, PolyEndo, PolyMatrix, compose_random_steps, pairing_witness, random_block_poly, random_unit
+from .poly import reduce_sums
 from .rings import Ring
 
 
@@ -91,12 +93,7 @@ def is_symplectic(ctx: PoissonContext, endo: PolyEndo) -> bool:
     {F_i, F_{i+n}} = 1 and every other bracket 0, the canonical pairing."""
     if endo.nvars != ctx.nvars or endo.ring != ctx.ring:
         raise ValueError("endomorphism does not match the context")
-    m, one = ctx.nvars, {(0,) * ctx.nvars: ctx.ring.one()}
-    return all(
-        poisson_bracket(ctx, endo.images[i], endo.images[j]).terms == (one if j == i + ctx.n else {})
-        for i in range(m)
-        for j in range(i + 1, m)
-    )
+    return pairing_witness(endo.images, partial(poisson_bracket, ctx), ctx.n) is None
 
 
 @dataclass(frozen=True)
@@ -138,60 +135,48 @@ def _check_block(ctx: PoissonContext, h: Poly, lo: int, hi: int):
                 raise ValueError(f"generator polynomial touches X{k} outside block {lo}..{hi}")
 
 
+def _shear(ctx: PoissonContext, h: Poly, lo: int) -> PolyEndo:
+    """Adds dh/dX_{k+n} to X_k (lo = n + 1) or dh/dX_k to X_{k+n} (lo = 1), k = 1..n,
+    with h in the block lo..lo+n-1 only: the two shears mirror each other."""
+    n = ctx.n
+    _check_block(ctx, h, lo, lo + n - 1)
+    images = list(PolyEndo.identity(ctx.ring, ctx.nvars).images)
+    moved = n if lo == 1 else 0  # 0-based start of the other block
+    for k in range(n):
+        images[moved + k] = images[moved + k] + h.partial(lo + k)
+    return PolyEndo(ctx.ring, ctx.nvars, images)
+
+
 def coordinate_shear(ctx: PoissonContext, h: Poly) -> PolyEndo:
     """X_i -> X_i + dh/dX_{i+n} with h in the second block X_{n+1}..X_{2n} only."""
-    _check_block(ctx, h, ctx.n + 1, 2 * ctx.n)
-    images = []
-    for i in range(1, ctx.n + 1):
-        images.append(Poly.variable(ctx.ring, ctx.nvars, i) + h.partial(i + ctx.n))
-    for i in range(ctx.n + 1, 2 * ctx.n + 1):
-        images.append(Poly.variable(ctx.ring, ctx.nvars, i))
-    return PolyEndo(ctx.ring, ctx.nvars, images)
+    return _shear(ctx, h, ctx.n + 1)
 
 
 def momentum_shear(ctx: PoissonContext, h: Poly) -> PolyEndo:
     """X_{n+i} -> X_{n+i} + dh/dX_i with h in the first block X_1..X_n only."""
-    _check_block(ctx, h, 1, ctx.n)
-    images = [Poly.variable(ctx.ring, ctx.nvars, i) for i in range(1, ctx.n + 1)]
-    for i in range(1, ctx.n + 1):
-        images.append(Poly.variable(ctx.ring, ctx.nvars, i + ctx.n) + h.partial(i))
+    return _shear(ctx, h, 1)
+
+
+def _pair_map(ctx: PoissonContext, i: int, pair_images) -> PolyEndo:
+    """Identity except (X_i, X_{i+n}) -> pair_images(X_i, X_{i+n})."""
+    if not 1 <= i <= ctx.n:
+        raise IndexError(f"pair index {i} out of range 1..{ctx.n}")
+    images = list(PolyEndo.identity(ctx.ring, ctx.nvars).images)
+    images[i - 1], images[i + ctx.n - 1] = pair_images(images[i - 1], images[i + ctx.n - 1])
     return PolyEndo(ctx.ring, ctx.nvars, images)
 
 
 def pair_swap(ctx: PoissonContext, i: int) -> PolyEndo:
     """X_i -> X_{i+n}, X_{i+n} -> -X_i on one pair, identity elsewhere."""
-    if not 1 <= i <= ctx.n:
-        raise IndexError(f"pair index {i} out of range 1..{ctx.n}")
-    images = [Poly.variable(ctx.ring, ctx.nvars, k) for k in range(1, ctx.nvars + 1)]
-    images[i - 1] = Poly.variable(ctx.ring, ctx.nvars, i + ctx.n)
-    images[i + ctx.n - 1] = -Poly.variable(ctx.ring, ctx.nvars, i)
-    return PolyEndo(ctx.ring, ctx.nvars, images)
+    return _pair_map(ctx, i, lambda x, y: (y, -x))
 
 
 def pair_scaling(ctx: PoissonContext, i: int, unit) -> PolyEndo:
     """X_i -> u X_i, X_{i+n} -> u^{-1} X_{i+n} for a unit u."""
-    if not 1 <= i <= ctx.n:
-        raise IndexError(f"pair index {i} out of range 1..{ctx.n}")
-    images = [Poly.variable(ctx.ring, ctx.nvars, k) for k in range(1, ctx.nvars + 1)]
-    images[i - 1] = images[i - 1].scale(unit)
-    images[i + ctx.n - 1] = images[i + ctx.n - 1].scale(ctx.ring.inv(unit))
-    return PolyEndo(ctx.ring, ctx.nvars, images)
+    return _pair_map(ctx, i, lambda x, y: (x.scale(unit), y.scale(ctx.ring.inv(unit))))
 
 
 _UNITS_Q = (1, -1, 2, -2, 3)  # unit pool over Q for coefficients and scalings
-
-
-def _random_block_poly(rng: random.Random, ctx: PoissonContext, lo: int, hi: int, max_degree: int) -> Poly:
-    ring = ctx.ring
-    acc = Poly.zero(ring, ctx.nvars)
-    for _ in range(rng.randint(1, 2)):
-        exps = [0] * ctx.nvars
-        deg = rng.randint(1, max_degree)
-        for _ in range(deg):
-            exps[rng.randint(lo, hi) - 1] += 1
-        c = random_unit(rng, ring, _UNITS_Q)
-        acc = acc + Poly.monomial(ring, ctx.nvars, exps, c)
-    return acc
 
 
 def generate_symplectomorphism(
@@ -206,8 +191,8 @@ def generate_symplectomorphism(
     rng = random.Random(seed)
     n = ctx.n
     draws = {
-        "shear": lambda: coordinate_shear(ctx, _random_block_poly(rng, ctx, n + 1, 2 * n, 3)),
-        "dual-shear": lambda: momentum_shear(ctx, _random_block_poly(rng, ctx, 1, n, 3)),
+        "shear": lambda: coordinate_shear(ctx, random_block_poly(rng, ctx.ring, 2 * n, n + 1, 2 * n, 3, _UNITS_Q)),
+        "dual-shear": lambda: momentum_shear(ctx, random_block_poly(rng, ctx.ring, 2 * n, 1, n, 3, _UNITS_Q)),
         "swap": lambda: pair_swap(ctx, rng.randint(1, n)),
         "scale": lambda: pair_scaling(ctx, rng.randint(1, n), random_unit(rng, ctx.ring, _UNITS_Q)),
     }

@@ -567,6 +567,32 @@ def random_unit(rng: random.Random, ring: Ring, rational_pool: Sequence[int]):
     return ring.of_int(rng.choice(rational_pool if ring.kind == "Q" else [1, -1]))
 
 
+def random_block_poly(
+    rng: random.Random, ring: Ring, nvars: int, lo: int, hi: int, max_degree: int, pool: Sequence[int]
+) -> "Poly":
+    """A seeded sum of one or two monomials of degree 1..max_degree in X_lo..X_hi
+    (1-based), each with a unit that :func:`random_unit` draws from ``pool``."""
+    acc = Poly.zero(ring, nvars)
+    for _ in range(rng.randint(1, 2)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(1, max_degree)):
+            exps[rng.randint(lo, hi) - 1] += 1
+        acc = acc + Poly.monomial(ring, nvars, exps, random_unit(rng, ring, pool))
+    return acc
+
+
+def pairing_witness(images: Sequence, bracket, n: int):
+    """The first pair 1 <= i < j <= 2n, in row order, whose bracket breaks the canonical
+    pairing [G_i, G_{i+n}] = 1, every other bracket 0: (i, j, bracket), or None."""
+    one = images[0]._one().terms
+    for i in range(1, 2 * n + 1):
+        for j in range(i + 1, 2 * n + 1):
+            c = bracket(images[i - 1], images[j - 1])
+            if c.terms != (one if j == i + n else {}):
+                return i, j, c
+    return None
+
+
 class PolyEndo(Endo):
     """Algebra endomorphism of the polynomial ring, given by variable images."""
 

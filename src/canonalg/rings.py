@@ -18,16 +18,12 @@ class NonUnitError(ArithmeticError):
     """Inversion (or exact division) was asked of a non-unit."""
 
 
+MODULUS_LIMIT = 1 << 40  # prime fields need p below it, so trial division stops by 2^20 steps
+
+
 def is_prime(m: int) -> bool:
-    """Deterministic trial division; moduli stay small at desk scale."""
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic trial division; moduli stay below ``MODULUS_LIMIT``."""
+    return m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
 
 
 def primes_upto(bound: int) -> list[int]:
@@ -57,6 +53,8 @@ class Ring:
         if self.kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Fp":
+            if self.p >= MODULUS_LIMIT:
+                raise ValueError(f"modulus {self.p} is not below the limit of 2^40")
             if not is_prime(self.p):
                 raise ValueError(f"modulus {self.p} is not prime")
         elif self.p:

@@ -30,6 +30,12 @@ central iff all its exponents vanish in the ring (see :func:`is_central`).
 :func:`commutator`, :func:`verify_endo_relations` and
 :func:`center_slice_check` stay on products; the slice check is the
 independent test of that identity.
+
+The algebra quantizes the canonical Poisson algebra in 2n variables: the
+normal-ordering map :func:`quantize` sends X_i to Y_i.  The elementary
+automorphisms (shears, pair swaps, unit scalings) are the quantized ones
+of :mod:`canonalg.poisson`; each of their image terms lies in one block,
+whose letters commute, so normal ordering is exact on them.
 """
 
 from __future__ import annotations
@@ -40,8 +46,10 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Sequence
 
+from . import poisson
 from .linalg import SparseMatrix, matrix_rank, solve_many
-from .poly import Endo, Poly, Terms, compose_random_steps, default_names, monomials_upto, random_unit, reduce_sums
+from .poly import Endo, Poly, PolyEndo, Terms, compose_random_steps, default_names, monomials_upto, pairing_witness
+from .poly import random_block_poly, random_unit, reduce_sums
 from .rings import Ring
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -88,13 +96,8 @@ class WeylAlgebra:
         """Y_i, 1-based: derivation letter for i <= n, position letter above."""
         if not 1 <= i <= self.ngens:
             raise IndexError(f"generator index {i} out of range 1..{self.ngens}")
-        g = [0] * self.n
-        d = [0] * self.n
-        if i <= self.n:
-            d[i - 1] = 1
-        else:
-            g[i - self.n - 1] = 1
-        return WeylElement(self, {(tuple(g), tuple(d)): self.ring.one()})
+        e = (0,) * (i - 1) + (1,) + (0,) * (self.ngens - i)  # X_i, keyed as :func:`quantize` keys it
+        return WeylElement(self, {(e[self.n :], e[: self.n]): self.ring.one()})
 
     def generators(self) -> list["WeylElement"]:
         return [self.generator(i) for i in range(1, self.ngens + 1)]
@@ -229,17 +232,10 @@ def verify_endo_relations(
     """
     if len(images) != algebra.ngens:
         raise ValueError(f"need {algebra.ngens} images, got {len(images)}")
-    for im in images:
-        if im.algebra != algebra:
-            raise ValueError("image from the wrong algebra")
-    one = algebra.one()
-    for i in range(1, algebra.ngens + 1):
-        for j in range(i + 1, algebra.ngens + 1):
-            c = commutator(images[i - 1], images[j - 1])
-            expected = one if j == i + algebra.n else algebra.zero()
-            if c != expected:
-                return False, (i, j, c)
-    return True, None
+    if any(im.algebra != algebra for im in images):
+        raise ValueError("image from the wrong algebra")
+    witness = pairing_witness(images, commutator, algebra.n)
+    return witness is None, witness
 
 
 class WeylEndo(Endo):
@@ -286,23 +282,41 @@ def inverse_degree_bound(endo: WeylEndo) -> int:
     return endo.degree() ** (2 * endo.algebra.n - 1)
 
 
-# -- embeddings of commutative polynomials ----------------------------------------
+# -- quantization of the canonical Poisson algebra -------------------------------
+
+
+def quantize(algebra: WeylAlgebra, f: Poly) -> WeylElement:
+    """The normal-ordered element with X_i -> Y_i: c X^e becomes
+    c x^(e_{n+1..2n}) d^(e_{1..n}).  Linear, not multiplicative; it is
+    exact on terms that lie in one block, whose letters commute."""
+    if f.nvars != algebra.ngens or f.ring != algebra.ring:
+        raise ValueError("polynomial must have 2n variables over the algebra ring")
+    n = algebra.n
+    return WeylElement(algebra, {(e[n:], e[:n]): c for e, c in f.terms.items()})
+
+
+def quantized(algebra: WeylAlgebra, endo: PolyEndo) -> WeylEndo:
+    """The Weyl endomorphism with the quantized images of a polynomial map
+    in 2n variables, relation-verified on construction."""
+    return WeylEndo(algebra, [quantize(algebra, im) for im in endo.images])
+
+
+def _classical(algebra: WeylAlgebra) -> poisson.PoissonContext:
+    return poisson.PoissonContext(algebra.ring, algebra.n)
+
+
+def _lift(algebra: WeylAlgebra, h: Poly, positions: bool) -> Poly:
+    """h(x_1..x_n) in X_1..X_2n, on the position block X_{n+1}..X_{2n} or
+    on the derivation block X_1..X_n."""
+    if h.nvars != algebra.n or h.ring != algebra.ring:
+        raise ValueError("polynomial must have n variables over the algebra ring")
+    zero = (0,) * algebra.n
+    return Poly(algebra.ring, algebra.ngens, {zero + e if positions else e + zero: c for e, c in h.terms.items()})
 
 
 def from_position_poly(algebra: WeylAlgebra, f: Poly) -> WeylElement:
     """Embed f(x_1..x_n) using the position generators Y_{n+1}..Y_{2n}."""
-    if f.nvars != algebra.n or f.ring != algebra.ring:
-        raise ValueError("polynomial must have n variables over the algebra ring")
-    zero = (0,) * algebra.n
-    return WeylElement(algebra, {(exps, zero): c for exps, c in f.terms.items()})
-
-
-def from_derivation_poly(algebra: WeylAlgebra, f: Poly) -> WeylElement:
-    """Embed f(d_1..d_n) using the derivation generators Y_1..Y_n."""
-    if f.nvars != algebra.n or f.ring != algebra.ring:
-        raise ValueError("polynomial must have n variables over the algebra ring")
-    zero = (0,) * algebra.n
-    return WeylElement(algebra, {(zero, exps): c for exps, c in f.terms.items()})
+    return quantize(algebra, _lift(algebra, f, positions=True))
 
 
 # -- elementary automorphisms and test families ------------------------------------
@@ -310,50 +324,22 @@ def from_derivation_poly(algebra: WeylAlgebra, f: Poly) -> WeylElement:
 
 def position_shear(algebra: WeylAlgebra, h: Poly) -> WeylEndo:
     """Y_i -> Y_i + dh/dx_i with h a polynomial in the position block."""
-    images = []
-    for i in range(1, algebra.n + 1):
-        images.append(algebra.generator(i) + from_position_poly(algebra, h.partial(i)))
-    for i in range(algebra.n + 1, algebra.ngens + 1):
-        images.append(algebra.generator(i))
-    return WeylEndo(algebra, images)
+    return quantized(algebra, poisson.coordinate_shear(_classical(algebra), _lift(algebra, h, positions=True)))
 
 
 def derivation_shear(algebra: WeylAlgebra, h: Poly) -> WeylEndo:
     """Y_{n+i} -> Y_{n+i} + dh/dd_i with h a polynomial in the derivation block."""
-    images = [algebra.generator(i) for i in range(1, algebra.n + 1)]
-    for i in range(1, algebra.n + 1):
-        images.append(algebra.generator(algebra.n + i) + from_derivation_poly(algebra, h.partial(i)))
-    return WeylEndo(algebra, images)
+    return quantized(algebra, poisson.momentum_shear(_classical(algebra), _lift(algebra, h, positions=False)))
 
 
 def pair_swap(algebra: WeylAlgebra, i: int) -> WeylEndo:
     """Y_i -> Y_{i+n}, Y_{i+n} -> -Y_i on one pair."""
-    if not 1 <= i <= algebra.n:
-        raise IndexError(f"pair index {i} out of range 1..{algebra.n}")
-    images = algebra.generators()
-    images[i - 1] = algebra.generator(algebra.n + i)
-    images[algebra.n + i - 1] = -algebra.generator(i)
-    return WeylEndo(algebra, images)
+    return quantized(algebra, poisson.pair_swap(_classical(algebra), i))
 
 
 def pair_scaling(algebra: WeylAlgebra, i: int, unit) -> WeylEndo:
     """Y_i -> u Y_i, Y_{i+n} -> u^{-1} Y_{i+n} for a unit u."""
-    if not 1 <= i <= algebra.n:
-        raise IndexError(f"pair index {i} out of range 1..{algebra.n}")
-    images = algebra.generators()
-    images[i - 1] = images[i - 1].scale(unit)
-    images[algebra.n + i - 1] = images[algebra.n + i - 1].scale(algebra.ring.inv(unit))
-    return WeylEndo(algebra, images)
-
-
-def _random_poly_nvars(rng: random.Random, ring: Ring, nvars: int, max_degree: int) -> Poly:
-    acc = Poly.zero(ring, nvars)
-    for _ in range(rng.randint(1, 2)):
-        exps = [0] * nvars
-        for _ in range(rng.randint(1, max_degree)):
-            exps[rng.randrange(nvars)] += 1
-        acc = acc + Poly.monomial(ring, nvars, exps, random_unit(rng, ring, (1, -1, 2, -2)))
-    return acc
+    return quantized(algebra, poisson.pair_scaling(_classical(algebra), i, unit))
 
 
 def generate_weyl_automorphism(
@@ -366,15 +352,19 @@ def generate_weyl_automorphism(
     max_degree is skipped.
     """
     rng = random.Random(seed)
-    ring, n = algebra.ring, algebra.n
+    ring, n, ctx = algebra.ring, algebra.n, _classical(algebra)
+
+    def shear(make, lo):
+        units = (1, -1, 2, -2)
+        return lambda: quantized(algebra, make(ctx, random_block_poly(rng, ring, 2 * n, lo, lo + n - 1, 3, units)))
 
     def scale():
-        u = random_unit(rng, ring, (1, -1, 2))
+        u = random_unit(rng, ring, (1, -1, 2))  # the unit before the pair: each seed keeps its map
         return pair_scaling(algebra, rng.randint(1, n), u)
 
     draws = {
-        "shear": lambda: position_shear(algebra, _random_poly_nvars(rng, ring, n, 3)),
-        "dual-shear": lambda: derivation_shear(algebra, _random_poly_nvars(rng, ring, n, 3)),
+        "shear": shear(poisson.coordinate_shear, n + 1),
+        "dual-shear": shear(poisson.momentum_shear, 1),
         "swap": lambda: pair_swap(algebra, rng.randint(1, n)),
         "scale": scale,
     }
