@@ -30,8 +30,8 @@ TAGS = ("CJC", "NJC", "CPC", "NPC", "CDC", "NDC")
 
 
 def gabber_degree_bound(endo: PolyEndo) -> int:
-    """Classical degree bound for polynomial automorphism inverses: deg^(m-1)."""
-    return endo.degree() ** (endo.nvars - 1)
+    """Classical inverse degree bound deg^(m-1); 0 for a constant map, which has no inverse."""
+    return 0 if all(im.is_constant() for im in endo.images) else endo.degree() ** (endo.nvars - 1)
 
 
 def inverse_search_poly(endo: PolyEndo, degree_cap: int) -> tuple[PolyEndo | None, int | None]:
@@ -90,9 +90,10 @@ def _decide(endo, bound: int, search, monomial_cap: int, quick_cap: int) -> Auto
 def decide_poly_automorphism(
     endo: PolyEndo, monomial_cap: int = MONOMIAL_BUDGET, quick_cap: int = 4
 ) -> AutomorphismDecision:
-    if all(im.is_zero() or im.is_constant() for im in endo.images):
+    bound = gabber_degree_bound(endo)
+    if not bound:  # a constant map: "no" without a search, over Z too
         return AutomorphismDecision("no", None, 0, 0)
-    return _decide(endo, gabber_degree_bound(endo), inverse_search_poly, monomial_cap, quick_cap)
+    return _decide(endo, bound, inverse_search_poly, monomial_cap, quick_cap)
 
 
 def decide_weyl_automorphism(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Poly, PolyEndo, default_names
+from .poly import Poly, PolyEndo, default_names, power
 from .rings import Ring, ring_from_text
 from .weyl import WeylAlgebra, WeylElement
 
@@ -181,18 +181,6 @@ def _product(a, b):
     return a * b
 
 
-def _power(base, k: int):
-    """base^k by repeated squaring, each product checked before it is computed."""
-    result = base._one()
-    while k:
-        if k & 1:
-            result = _product(result, base)
-        k >>= 1
-        if k:
-            base = _product(base, base)
-    return result
-
-
 def _eval(ast, const, var):
     kind = ast[0]
     if kind == "num":
@@ -208,7 +196,7 @@ def _eval(ast, const, var):
     if kind == "mul":
         return _product(_eval(ast[1], const, var), _eval(ast[2], const, var))
     if kind == "pow":
-        return _power(_eval(ast[1], const, var), ast[2])
+        return power(_eval(ast[1], const, var), ast[2], _product)
     raise AssertionError(f"unknown AST node {kind!r}")
 
 
@@ -232,6 +220,7 @@ def eval_weyl(ast, algebra: WeylAlgebra, names: Sequence[str]) -> WeylElement:
 
 
 def parse_poly(text: str, ring: Ring, nvars: int, letter: str = "X") -> Poly:
+    """Public API: the grammar's one-expression entry point, undeclared names refused."""
     names = default_names(nvars, letter)
     ast = parse_expression(text)
     _check_names(ast, names, 0)

@@ -70,7 +70,8 @@ def poisson_bracket(ctx: PoissonContext, f: Poly, g: Poly) -> Poly:
 
 
 def bracket_matrix(ctx: PoissonContext, endo: PolyEndo) -> PolyMatrix:
-    """All pairwise brackets of the images, antisymmetric by construction."""
+    """All pairwise brackets of the images, antisymmetric by construction;
+    public API, where :func:`is_symplectic` stops at the first broken one."""
     if endo.nvars != ctx.nvars or endo.ring != ctx.ring:
         raise ValueError("endomorphism does not match the context")
     m = ctx.nvars
@@ -82,10 +83,6 @@ def bracket_matrix(ctx: PoissonContext, endo: PolyEndo) -> PolyMatrix:
             rows[i][j] = b
             rows[j][i] = -b
     return PolyMatrix(ctx.ring, m, rows)
-
-
-def canonical_bracket_matrix(ctx: PoissonContext) -> PolyMatrix:
-    return bracket_matrix(ctx, PolyEndo.identity(ctx.ring, ctx.nvars))
 
 
 def is_symplectic(ctx: PoissonContext, endo: PolyEndo) -> bool:

@@ -17,7 +17,7 @@ and the inverse search, on the packed-key monomial images of
 from __future__ import annotations
 
 import random
-from operator import add, lshift
+from operator import add, lshift, mul
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import SparseMatrix
@@ -66,6 +66,21 @@ def reduce_sums(ring: Ring, sums: dict) -> dict:
     """
     p = ring.p
     return {key: c % p for key, c in sums.items()} if p else sums
+
+
+def power(base, k: int, mul=mul):
+    """base^k by repeated squaring, each product formed by ``mul``: the
+    parser passes one that checks a term-pair budget before multiplying."""
+    if k < 0:
+        raise ValueError("negative power")
+    result = base._one()
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
 
 
 class Terms:
@@ -148,16 +163,7 @@ class Terms:
         return self._make({key: ring.mul(c, v) for key, v in self.terms.items()})
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = self._one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, type(self)) and self._space() == other._space() and self.terms == other.terms
@@ -258,10 +264,6 @@ class Poly(Terms):
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self):
-        """The coefficient of the empty monomial (0 if absent)."""
-        return self.terms.get((0,) * self.nvars, self.ring.zero())
-
     # -- multiplication, calculus and substitution -----------------------------------
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -295,10 +297,6 @@ class Poly(Terms):
         if p == 0:
             raise ValueError("frobenius power needs a prime-field coefficient ring")
         return self._make({tuple(p * e for e in exps): c for exps, c in self.terms.items()})
-
-    def substitute(self, images: Sequence["Poly"]) -> "Poly":
-        """Evaluate at the given variable images: f(images[0], ..., images[m-1])."""
-        return PolyEndo(self.ring, self.nvars, images).apply(self)
 
     def evaluate(self, point: Sequence):
         """Value at a point given as ring elements, one per variable; powers
@@ -445,6 +443,7 @@ class Endo:
         return max(degs)
 
     def is_identity(self) -> bool:
+        """Every image is its generator; public API, the benchmark's inverse check."""
         return list(self.images) == self._generators()
 
     def _leibniz(self) -> tuple:
@@ -661,23 +660,6 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> Poly:
         return self.rows[i][j]
-
-    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("matrix shape mismatch")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = Poly.zero(self.ring, self.nvars)
-                for k in range(self.ncols):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.ring, self.nvars, out)
-
-    def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix(self.ring, self.nvars, [[fn(e) for e in row] for row in self.rows])
 
     def determinant(self) -> Poly:
         """Cofactor expansion along the first row; division-free, sizes <= 8."""

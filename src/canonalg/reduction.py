@@ -7,8 +7,8 @@ commutative variables.  The restriction is computed from the definition:
 the p-th power of each image is the image of the monomial Y_i^p, built one
 letter at a time on the endomorphism's monomial-image engine
 (:meth:`canonalg.poly.Endo.apply_each`), checked to be central (all
-exponents divisible by p), and read off with exponents divided by p.
-Failures of those checks are internal errors, not data.
+exponents divisible by p), and read back through :func:`weyl.dequantize`
+with exponents divided by p.  A failed check is an internal error, not data.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .poisson import PoissonContext, is_symplectic
 from .poly import Poly, PolyEndo
-from .weyl import WeylElement, WeylEndo, central_monomial, is_central
+from .weyl import WeylEndo, dequantize, is_central, quantize
 
 
 class CenterReductionError(AssertionError):
@@ -46,32 +46,23 @@ class CenterSymplecticReport:
     symplectic: bool
 
 
-def _read_central(elem: WeylElement, p: int) -> Poly:
-    """Read a central normal-form element as a polynomial in X_i = Y_i^p.
-
-    The exponent pair (g, d), all divisible by p, corresponds to X-exponents
-    d/p on the first n variables and g/p on the last n.
-    """
-    alg = elem.algebra
-    terms = {tuple(e // p for e in d) + tuple(e // p for e in g): c for (g, d), c in elem.terms.items()}
-    return Poly(alg.ring, 2 * alg.n, terms)
-
-
 def induced_center_endo(endo: WeylEndo) -> CenterEndo:
-    """The endomorphism induced on the center: sigma(Y_i)^p = sigma(Y_i^p)."""
+    """The endomorphism induced on the center: sigma(Y_i)^p = sigma(Y_i^p),
+    each Y_i^p the quantized X_i^p, each image read back as a polynomial in
+    the X_i = Y_i^p through :func:`dequantize`, its exponents divided by p."""
     alg = endo.algebra
-    p = alg.ring.characteristic()
+    ring, m = alg.ring, alg.ngens
+    p = ring.characteristic()
     if p == 0:
         raise ValueError("center reduction needs prime-field coefficients")
-    powers = endo.apply_each([central_monomial(alg, *key) for gen in alg.generators() for key in gen.terms])
+    powers = endo.apply_each([quantize(alg, Poly.variable(ring, m, i).frobenius()) for i in range(1, m + 1)])
     images = []
     for i, power in enumerate(powers, start=1):
         if not is_central(power):
-            raise CenterReductionError(
-                f"image {i} has non-central p-th power {power.to_text()}"
-            )
-        images.append(_read_central(power, p))
-    return CenterEndo(PolyEndo(alg.ring, 2 * alg.n, images), endo)
+            raise CenterReductionError(f"image {i} has non-central p-th power {power.to_text()}")
+        f = dequantize(power)
+        images.append(f._make({tuple(e // p for e in exps): c for exps, c in f.terms.items()}))
+    return CenterEndo(PolyEndo(ring, m, images), endo)
 
 
 def check_degree_preservation(endo: WeylEndo) -> DegreeReport:

@@ -17,9 +17,9 @@ position part of the right factor,
         = sum over l <= min(d1, g2) of
           binom(d1, l) * falling(g2, l) * x^(g1+g2-l) d^(d1+d2-l)
 
-with the weights binom(d1, l) * falling(g2, l) computed as exact integers and
-reduced mod p over F_p, so characteristic-p vanishing happens on its own; a
-weight that vanishes is dropped before its term is formed.  A worked
+with the weights binom(d1, l) * falling(g2, l) computed as exact integers
+over Q and Z and mod p over F_p, where every weight past l = p - 1 vanishes;
+a weight that vanishes is dropped before its term is formed.  A worked
 instance over Q with n = 1 (writing x = Y_2, d = Y_1):
 
     d^2 * x^2 = x^2 d^2 + 4 x d + 2
@@ -32,10 +32,11 @@ central iff all its exponents vanish in the ring (see :func:`is_central`).
 independent test of that identity.
 
 The algebra quantizes the canonical Poisson algebra in 2n variables: the
-normal-ordering map :func:`quantize` sends X_i to Y_i.  The elementary
-automorphisms (shears, pair swaps, unit scalings) are the quantized ones
-of :mod:`canonalg.poisson`; each of their image terms lies in one block,
-whose letters commute, so normal ordering is exact on them.
+normal-ordering map :func:`quantize` sends X_i to Y_i and :func:`dequantize`
+reads it back, so no other module knows the block layout.  The elementary
+automorphisms (shears, pair swaps, unit scalings) are the quantized ones of
+:mod:`canonalg.poisson`; each of their image terms lies in one block, whose
+letters commute, so normal ordering is exact on them.
 """
 
 from __future__ import annotations
@@ -190,17 +191,17 @@ class WeylElement(Terms):
 
 @lru_cache(maxsize=1 << 16)
 def _leibniz_weights(a: int, b: int, p: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (l, binom(a, l) * falling(b, l)) for l <= min(a, b), reduced
-    mod p when p is nonzero, keeping only the nonzero weights; l = 0 comes
-    first with weight 1."""
-    out = []
+    """The pairs (l, binom(a, l) * falling(b, l)) for l <= min(a, b) with a
+    nonzero weight, l = 0 first with weight 1.  Over F_p the weights are
+    reduced mod p and stop at l = p - 1: past it falling(b, l) has p
+    consecutive factors, and below it each l is a unit mod p."""
+    out = [(0, 1)]
     w = 1
-    for l in range(min(a, b) + 1):
-        if l:  # binom(a, l) falling(b, l) from the weight at l - 1, exactly
-            w = w * (a - l + 1) * (b - l + 1) // l
-        reduced = w % p if p else w
-        if reduced:
-            out.append((l, reduced))
+    for l in range(1, min(a, b, p - 1 if p else a) + 1):  # each weight from the one at l - 1
+        w *= (a - l + 1) * (b - l + 1)
+        w = w * pow(l, -1, p) % p if p else w // l
+        if w:
+            out.append((l, w))
     return tuple(out)
 
 
@@ -295,6 +296,12 @@ def quantize(algebra: WeylAlgebra, f: Poly) -> WeylElement:
     return WeylElement(algebra, {(e[n:], e[:n]): c for e, c in f.terms.items()})
 
 
+def dequantize(elem: WeylElement) -> Poly:
+    """The inverse of :func:`quantize` on terms: c x^g d^e becomes c X^(e, g)."""
+    algebra = elem.algebra
+    return Poly(algebra.ring, algebra.ngens, {d + g: c for (g, d), c in elem.terms.items()})
+
+
 def quantized(algebra: WeylAlgebra, endo: PolyEndo) -> WeylEndo:
     """The Weyl endomorphism with the quantized images of a polynomial map
     in 2n variables, relation-verified on construction."""
@@ -305,31 +312,7 @@ def _classical(algebra: WeylAlgebra) -> poisson.PoissonContext:
     return poisson.PoissonContext(algebra.ring, algebra.n)
 
 
-def _lift(algebra: WeylAlgebra, h: Poly, positions: bool) -> Poly:
-    """h(x_1..x_n) in X_1..X_2n, on the position block X_{n+1}..X_{2n} or
-    on the derivation block X_1..X_n."""
-    if h.nvars != algebra.n or h.ring != algebra.ring:
-        raise ValueError("polynomial must have n variables over the algebra ring")
-    zero = (0,) * algebra.n
-    return Poly(algebra.ring, algebra.ngens, {zero + e if positions else e + zero: c for e, c in h.terms.items()})
-
-
-def from_position_poly(algebra: WeylAlgebra, f: Poly) -> WeylElement:
-    """Embed f(x_1..x_n) using the position generators Y_{n+1}..Y_{2n}."""
-    return quantize(algebra, _lift(algebra, f, positions=True))
-
-
 # -- elementary automorphisms and test families ------------------------------------
-
-
-def position_shear(algebra: WeylAlgebra, h: Poly) -> WeylEndo:
-    """Y_i -> Y_i + dh/dx_i with h a polynomial in the position block."""
-    return quantized(algebra, poisson.coordinate_shear(_classical(algebra), _lift(algebra, h, positions=True)))
-
-
-def derivation_shear(algebra: WeylAlgebra, h: Poly) -> WeylEndo:
-    """Y_{n+i} -> Y_{n+i} + dh/dd_i with h a polynomial in the derivation block."""
-    return quantized(algebra, poisson.momentum_shear(_classical(algebra), _lift(algebra, h, positions=False)))
 
 
 def pair_swap(algebra: WeylAlgebra, i: int) -> WeylEndo:
@@ -372,7 +355,8 @@ def generate_weyl_automorphism(
 
 
 def central_monomial(algebra: WeylAlgebra, g: Iterable[int], d: Iterable[int]) -> WeylElement:
-    """Monomial with all exponents multiplied by p, hence central over F_p."""
+    """Monomial with all exponents multiplied by p, hence central over F_p;
+    public API, the terms :func:`generate_central_perturbation` adds."""
     p = algebra.ring.characteristic()
     if p == 0:
         raise ValueError("central monomials of this shape need a prime field")

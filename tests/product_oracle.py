@@ -12,8 +12,11 @@ scratch and reduced before a zero one is dropped.  ``apply`` is
 ``induced_center_endo`` are the earlier bodies of the functions of those
 names, which formed products only to cancel them: commutators with every
 generator, products of ``partial`` polynomials, and p-th powers by repeated
-squaring.  ``evaluate`` is ``Poly.evaluate`` with one ``Ring`` product per
-unit of each exponent.  The tests compare the kernels with these.
+squaring.  ``read_central_by_hand`` is the engine route of
+``induced_center_endo`` before it read its images through
+``weyl.dequantize``.  ``evaluate`` is ``Poly.evaluate`` with one ``Ring``
+product per unit of each exponent.  The tests compare the kernels with
+these.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from math import comb
 from canonalg.poisson import PoissonContext
 from canonalg.poly import Exponents, Poly, PolyEndo
 from canonalg.reduction import CenterEndo, CenterReductionError
-from canonalg.weyl import TermKey, WeylElement, WeylEndo, commutator
+from canonalg.weyl import TermKey, WeylElement, WeylEndo, central_monomial, commutator
 
 
 def _falling(b: int, k: int) -> int:
@@ -147,6 +150,20 @@ def induced_center_endo(endo: WeylEndo) -> CenterEndo:
             raise CenterReductionError(f"image {i} has non-central p-th power {power.to_text()}")
         images.append(_read_central(power, p))
     return CenterEndo(PolyEndo(ring, 2 * endo.algebra.n, images), endo)
+
+
+def read_central_by_hand(endo: WeylEndo) -> CenterEndo:
+    """The engine route to the center restriction before ``weyl.dequantize``:
+    sigma of each ``central_monomial`` Y_i^p, read off by a key map written
+    here, exponents d/p on X_1..X_n and g/p on X_{n+1}..X_2n."""
+    alg = endo.algebra
+    p = alg.ring.characteristic()
+    powers = endo.apply_each([central_monomial(alg, *key) for gen in alg.generators() for key in gen.terms])
+    images = [
+        Poly(alg.ring, 2 * alg.n, {tuple(e // p for e in d) + tuple(e // p for e in g): c for (g, d), c in power.terms.items()})
+        for power in powers
+    ]
+    return CenterEndo(PolyEndo(alg.ring, 2 * alg.n, images), endo)
 
 
 def evaluate(f: Poly, point):

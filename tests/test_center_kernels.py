@@ -134,6 +134,12 @@ def test_center_restriction_agrees_with_pth_powers_on_the_corpus():
         assert induced_center_endo(endo).endo == product_oracle.induced_center_endo(endo).endo
 
 
+def test_center_restriction_reads_what_the_hand_written_key_map_read_on_the_corpus():
+    for endo in weyl_corpus():
+        got, want = induced_center_endo(endo).endo, product_oracle.read_central_by_hand(endo).endo
+        assert [list(im.terms.items()) for im in got.images] == [list(im.terms.items()) for im in want.images]
+
+
 @hypothesis.settings(max_examples=30, deadline=None)
 @hypothesis.given(st.sampled_from(PRIMES), st.integers(1, 2), st.integers(0, 10**6), st.booleans())
 def test_center_restriction_agrees_on_seeded_maps(ring, n, seed, perturbed):

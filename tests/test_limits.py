@@ -106,6 +106,20 @@ def test_one_variable_fibers_over_a_large_prime_are_not_enumerated(tmp_path):
     assert main(["check-instance", "--tag", "CJC", "--input", f]) == 0
 
 
+# -- large exponents over a small prime ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check-weyl-endo"], ["reduce"], ["invert-weyl"], ["probe-chain"], ["check-instance", "--tag", "CDC"]],
+    ids=lambda argv: argv[0],
+)
+def test_weyl_commands_answer_a_file_with_exponent_a_million_over_f2(argv, tmp_path):
+    # x^M and d^M are central for even M; each Leibniz weight table stops at l = p - 1 = 1
+    text = "ring=F2 kind=weyl n=1\nY1 -> Y1 + Y2^1000000\nY2 -> Y2 + Y1^1000000\n"
+    assert main([*argv, "--input", _write(tmp_path, "big.endo", text)]) == 0
+
+
 # -- the center-slice commutators ---------------------------------------------------------
 
 

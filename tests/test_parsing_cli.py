@@ -177,6 +177,22 @@ def test_cli_invert_both_kinds(tmp_path):
     assert payload["inverse_images"] == ["Y1", "Y1^2 + Y2"]  # -1 = 1 mod 2
 
 
+@pytest.mark.parametrize("text", ["X1 -> 2\n", "X1 -> 0\nX2 -> 0\n"], ids=["two", "all-zero"])
+def test_cli_invert_certifies_a_constant_map_at_bound_0(text, tmp_path):
+    # a constant map has no inverse, so bound 0 certifies it, as check-instance already reports
+    f = write(tmp_path, "const.endo", f"ring=F3 kind=poly m={text.count('->')}\n{text}")
+    out = str(tmp_path / "r.json")
+    for cap in ([], ["--degree-cap", "2"]):
+        assert main(["invert", "--input", f, *cap, "--json", out]) == 0
+        payload = json.loads(open(out).read())["payload"]
+        assert (payload["status"], payload["degree_bound"]) == ("none", 0)
+        assert payload["certified_non_automorphism"] is True
+        assert payload["searched_degree"] == (2 if cap else 0)
+    assert main(["check-instance", "--tag", "CJC", "--input", f, "--json", out]) == 0
+    payload = json.loads(open(out).read())["payload"]
+    assert (payload["automorphism"], payload["certified_bound"], payload["searched_degree"]) == ("no", 0, 0)
+
+
 def test_cli_check_instance_exit_codes(tmp_path):
     g = write(tmp_path, "njc.endo", NJC_POLY)
     out = str(tmp_path / "r.json")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from canonalg.poly import Poly, PolyEndo, PolyMatrix, monomial_count, monomials_upto
+from canonalg.poly import Poly, PolyEndo, PolyMatrix, monomial_count, monomials_upto, power
 from canonalg.rings import GF, QQ, ZZ, NonUnitError
 
 from util import det_permutation_sum, random_poly
@@ -48,12 +48,52 @@ def test_substitute_examples():
     x1, x2 = X(QQ, 2, 1), X(QQ, 2, 2)
     f = x1**2
     shift = [x1 + Poly.one(QQ, 2), x2]
-    assert f.substitute(shift) == x1**2 + x1.scale(QQ.of_int(2)) + Poly.one(QQ, 2)
+    assert PolyEndo(QQ, 2, shift).apply(f) == x1**2 + x1.scale(QQ.of_int(2)) + Poly.one(QQ, 2)
 
     g = random_poly(random.Random(3), QQ, 2, 3)
     identity = [x1, x2]
-    assert g.substitute(identity) == g
-    assert x2.substitute([x2, x1]) == x1
+    assert PolyEndo(QQ, 2, identity).apply(g) == g
+    assert PolyEndo(QQ, 2, [x2, x1]).apply(x2) == x1
+
+
+def test_power_forms_the_products_of_both_former_loops():
+    # the repeated-squaring loops of ``Terms.__pow__`` and of the parser before ``power`` replaced both
+    def pow_loop(base, k, mul):
+        result = base._one()
+        while k:
+            if k & 1:
+                result = mul(result, base)
+            base = mul(base, base) if k > 1 else base
+            k >>= 1
+        return result
+
+    def parser_loop(base, k, mul):
+        result = base._one()
+        while k:
+            if k & 1:
+                result = mul(result, base)
+            k >>= 1
+            if k:
+                base = mul(base, base)
+        return result
+
+    def recording(log):
+        def mul(a, b):
+            log.append((len(a.terms), len(b.terms)))
+            return a * b
+
+        return mul
+
+    x1, x2 = X(QQ, 2, 1), X(QQ, 2, 2)
+    base = x1 + x2 + Poly.one(QQ, 2)
+    for k in range(10):
+        logs = ([], [], [])
+        values = [f(base, k, recording(log)) for f, log in zip((power, pow_loop, parser_loop), logs)]
+        assert logs[0] == logs[1] == logs[2]
+        assert values[0] == values[1] == values[2] == base**k
+        assert base**k == PolyEndo(QQ, 2, [base, x2]).apply(x1**k)
+    with pytest.raises(ValueError, match="negative power"):
+        base ** -1
 
 
 def test_compose_orientation_is_pinned():
@@ -171,16 +211,17 @@ def test_mixed_partials_commute():
 
 
 def test_chain_rule():
-    # J(phi . psi) = substitute(J(psi), phi) * J(phi), matching the pinned
-    # composition orientation
+    # J(phi . psi) = phi(J(psi)) * J(phi), matching the pinned composition
+    # orientation
     rng = random.Random(8)
     for ring in (QQ, GF(5)):
         for _ in range(8):
             phi = PolyEndo(ring, 2, [random_poly(rng, ring, 2, 2), random_poly(rng, ring, 2, 2)])
             psi = PolyEndo(ring, 2, [random_poly(rng, ring, 2, 2), random_poly(rng, ring, 2, 2)])
             left = phi.compose(psi).jacobian()
-            right = psi.jacobian().map_entries(phi.apply).matmul(phi.jacobian())
-            assert left == right
+            a, b = psi.jacobian().rows, phi.jacobian().rows
+            right = [[phi.apply(a[i][0]) * b[0][j] + phi.apply(a[i][1]) * b[1][j] for j in range(2)] for i in range(2)]
+            assert left == PolyMatrix(ring, 2, right)
 
 
 def test_compose_degree_bound():

@@ -119,6 +119,28 @@ def test_leibniz_weight_table():
     assert _leibniz_weights(2, q + 1, q) == ((0, 1), (1, 2))
 
 
+def test_leibniz_weights_stop_at_p_minus_one():
+    # the weights mod p, from l = 0 to p - 1, against exact integers to min(a, b) reduced afterwards
+    def exact(a, b, p):
+        out, w = [], 1
+        for l in range(min(a, b) + 1):
+            w = w * (a - l + 1) * (b - l + 1) // l if l else 1  # binom(a, l) * falling(b, l)
+            if w % p if p else w:
+                out.append((l, w % p if p else w))
+        return tuple(out)
+
+    weights = _leibniz_weights.__wrapped__  # uncached, so each call runs the loop
+    for p in (0, 2, 3, 5, 7, 11, 13):
+        for a in range(40):
+            for b in range(40):
+                assert weights(a, b, p) == exact(a, b, p), (a, b, p)
+    q = 10007
+    for a, b in ((q - 1, q + 1), (q + 1, q + 1)):
+        assert weights(a, b, q) == exact(a, b, q), (a, b)
+    # exponent 10^6 over F2: two weights, found without a million-step loop
+    assert weights(10**6 + 1, 10**6 + 1, 2) == ((0, 1), (1, 1))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 10007])
 def test_weyl_products_that_cancel_mod_p(p: int):
     F = GF(p)

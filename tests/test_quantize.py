@@ -17,9 +17,10 @@ from canonalg.conjectures import frobenius_deficit_poly, frobenius_deficit_weyl
 from canonalg.poisson import (
     PoissonContext,
     bracket_matrix,
-    canonical_bracket_matrix,
+    coordinate_shear,
     generate_symplectomorphism,
     is_symplectic,
+    momentum_shear,
 )
 from canonalg.poly import Poly, PolyEndo, compose_random_steps, pairing_witness, random_block_poly, random_unit
 from canonalg.rings import GF, QQ
@@ -28,12 +29,10 @@ from canonalg.weyl import (
     WeylElement,
     WeylEndo,
     commutator,
-    derivation_shear,
-    from_position_poly,
+    dequantize,
     generate_weyl_automorphism,
     pair_scaling,
     pair_swap,
-    position_shear,
     quantize,
     quantized,
     verify_endo_relations,
@@ -145,6 +144,19 @@ def test_quantize_sends_each_term_to_its_normal_ordered_key(case):
         quantize(A, Poly.variable(ring, n, 1))
 
 
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_dequantize_inverts_quantize(case):
+    ring, n = case
+    A = WeylAlgebra(ring, n)
+    rng = random.Random(53 * n + ring.p)
+    for _ in range(6):
+        f = random_poly(rng, ring, 2 * n, 4)
+        e = random_weyl(rng, A, 4)
+        assert dequantize(quantize(A, f)) == f
+        assert quantize(A, dequantize(e)) == e
+    assert [dequantize(g) for g in A.generators()] == [Poly.variable(ring, 2 * n, i) for i in range(1, 2 * n + 1)]
+
+
 def test_quantize_is_not_multiplicative_across_blocks():
     A = WeylAlgebra(QQ, 1)
     d, x = Poly.variable(QQ, 2, 1), Poly.variable(QQ, 2, 2)
@@ -166,21 +178,21 @@ def test_quantized_map_is_relation_verified():
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_elementary_maps_equal_the_written_out_formulas(case):
     ring, n = case
-    A = WeylAlgebra(ring, n)
+    A, ctx = WeylAlgebra(ring, n), PoissonContext(ring, n)
     rng = random.Random(1000 * n + ring.p)
     for _ in range(4):
         h = random_poly(rng, ring, n, 4)
-        assert _same(position_shear(A, h), oracle_position_shear(A, h))
-        assert _same(derivation_shear(A, h), oracle_derivation_shear(A, h))
-        assert from_position_poly(A, h) == oracle_embed(A, h, positions=True)
+        hx = Poly(ring, 2 * n, {(0,) * n + e: c for e, c in h.terms.items()})  # h on X_{n+1}..X_{2n}
+        hd = Poly(ring, 2 * n, {e + (0,) * n: c for e, c in h.terms.items()})  # h on X_1..X_n
+        assert _same(quantized(A, coordinate_shear(ctx, hx)), oracle_position_shear(A, h))
+        assert _same(quantized(A, momentum_shear(ctx, hd)), oracle_derivation_shear(A, h))
+        assert quantize(A, hx) == oracle_embed(A, h, positions=True)
     for i in range(1, n + 1):
         assert _same(pair_swap(A, i), oracle_pair_swap(A, i))
         u = _unit(rng, ring)
         assert _same(pair_scaling(A, i, u), oracle_pair_scaling(A, i, u))
     with pytest.raises(IndexError, match="pair index"):
         pair_swap(A, n + 1)
-    with pytest.raises(ValueError, match="n variables"):
-        position_shear(A, Poly.variable(ring, n + 1, 1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -280,7 +292,7 @@ def test_is_symplectic_agrees_with_the_bracket_matrix(case):
     ring, n = case
     ctx = PoissonContext(ring, n)
     rng = random.Random(17 * n + ring.p)
-    canonical = canonical_bracket_matrix(ctx)
+    canonical = bracket_matrix(ctx, PolyEndo.identity(ring, 2 * n))
     seen = set()
     for seed in range(12):
         endo = generate_symplectomorphism(ctx, seed, steps=3, max_degree=3)

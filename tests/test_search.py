@@ -31,7 +31,7 @@ from canonalg.conjectures import (
     inverse_search_poly,
 )
 from canonalg.linalg import SparseMatrix, solve_many
-from canonalg.poisson import PoissonContext, generate_symplectomorphism
+from canonalg.poisson import PoissonContext, coordinate_shear, generate_symplectomorphism, momentum_shear
 from canonalg.poly import Endo, Poly, PolyEndo, _Images, compositions, monomials_upto
 from canonalg.rings import GF, QQ, ZZ
 from canonalg.weyl import (
@@ -39,12 +39,11 @@ from canonalg.weyl import (
     WeylAlgebra,
     WeylEndo,
     central_monomial,
-    derivation_shear,
     generate_central_perturbation,
     generate_weyl_automorphism,
     inverse_degree_bound,
     inverse_search,
-    position_shear,
+    quantized,
 )
 
 RINGS = [QQ, GF(2), GF(3), GF(5), GF(10007)]
@@ -79,8 +78,9 @@ def test_engine_images_match_the_tuple_chain(ring):
     for endo in poly_maps(ring, 41):
         engine_images_match_the_oracle(endo, 5)
     for n in (1, 2):
-        algebra, x = WeylAlgebra(ring, n), Poly.variable(ring, n, 1)
-        endo = position_shear(algebra, x**4).compose(derivation_shear(algebra, x**4))
+        algebra, ctx = WeylAlgebra(ring, n), PoissonContext(ring, n)
+        x, d = Poly.variable(ring, 2 * n, n + 1), Poly.variable(ring, 2 * n, 1)  # x1 and d1 in 2n variables
+        endo = quantized(algebra, coordinate_shear(ctx, x**4)).compose(quantized(algebra, momentum_shear(ctx, d**4)))
         engine_images_match_the_oracle(endo, 4 if n == 1 else 3)
     if 0 < ring.p < 10:
         algebra = WeylAlgebra(ring, 1)
@@ -267,8 +267,10 @@ def test_checked_inverse_matches_the_two_compose_oracle(monkeypatch):
 def test_a_found_inverse_costs_two_engines_and_no_compose(which, monkeypatch):
     """The search's engine and one of the inverse's: the check composes nothing."""
     if which == "weyl":
-        algebra, x = WeylAlgebra(GF(5), 2), Poly.variable(GF(5), 2, 1)
-        endo, search = position_shear(algebra, x**3).compose(derivation_shear(algebra, x**2)), inverse_search
+        algebra, ctx = WeylAlgebra(GF(5), 2), PoissonContext(GF(5), 2)
+        x, d = Poly.variable(GF(5), 4, 3), Poly.variable(GF(5), 4, 1)
+        endo = quantized(algebra, coordinate_shear(ctx, x**3)).compose(quantized(algebra, momentum_shear(ctx, d**2)))
+        search = inverse_search
     else:
         x1, x2 = Poly.variable(QQ, 2, 1), Poly.variable(QQ, 2, 2)
         endo, search = PolyEndo(QQ, 2, [x1 + x2**3, x2 + x1 + x2**3]), inverse_search_poly

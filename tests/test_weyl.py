@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from canonalg.poisson import PoissonContext, coordinate_shear, momentum_shear
 from canonalg.poly import Poly
 from canonalg.rings import GF, QQ, ZZ
 from canonalg.weyl import (
@@ -12,15 +13,13 @@ from canonalg.weyl import (
     center_slice_check,
     central_monomial,
     commutator,
-    derivation_shear,
-    from_position_poly,
     generate_central_perturbation,
     generate_weyl_automorphism,
     inverse_degree_bound,
     inverse_search,
     is_central,
     pair_swap,
-    position_shear,
+    quantized,
     verify_endo_relations,
 )
 
@@ -219,14 +218,15 @@ def test_center_slice_reads_containment_off_its_kernel_columns(monkeypatch):
 
 
 def test_elementary_automorphisms():
-    A = WeylAlgebra(GF(5), 2)
-    h = Poly.variable(GF(5), 2, 1) * Poly.variable(GF(5), 2, 2)
-    for endo in (position_shear(A, h), derivation_shear(A, h), pair_swap(A, 2), ):
+    A, ctx = WeylAlgebra(GF(5), 2), PoissonContext(GF(5), 2)
+    X = [Poly.variable(GF(5), 4, i) for i in range(1, 5)]
+    hx, hd = X[2] * X[3], X[0] * X[1]  # x1 x2 on the position block, then on the derivation block
+    for endo in (quantized(A, coordinate_shear(ctx, hx)), quantized(A, momentum_shear(ctx, hd)), pair_swap(A, 2), ):
         ok, _ = verify_endo_relations(A, list(endo.images))
         assert ok
 
     B = WeylAlgebra(QQ, 1)
-    shear = derivation_shear(B, Poly.variable(QQ, 1, 1) ** 2)
+    shear = quantized(B, momentum_shear(PoissonContext(QQ, 1), Poly.variable(QQ, 2, 1) ** 2))
     assert shear.images[1] == B.generator(2) + B.generator(1).scale(QQ.of_int(2))
 
 
