@@ -49,6 +49,6 @@ from .conjectures import (
     inverse_search_poly,
     kraus_check,
 )
-from .parsing import EndoFile, ParseError, parse_endo_file, parse_expression, print_endo_file
+from .parsing import EndoFile, ParseError, parse_endo_file, print_endo_file
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,11 +9,14 @@ Expression grammar (whitespace insignificant, no implicit multiplication):
     number := nat ['/' nat]        (rational literals; '/' only in numerals)
 
 Variables are ``X1..Xm`` for polynomial input and ``Y1..Y2n`` for Weyl input.
-Weyl expressions are parsed as noncommutative words: products evaluate left
-to right through the normal-ordering multiplication, so any input word lands
-in canonical form on ingestion.  Evaluation refuses, with a ``ParseError``,
-any product or power step whose operands' term counts multiply past
-``TERM_PAIR_BUDGET``, before forming it.
+An expression is evaluated in one left-to-right pass over its tokens, with no
+limit on its length or nesting depth, and its first fault in reading order is
+the ``ParseError`` it raises.  Weyl expressions are parsed as noncommutative
+words: products evaluate left to right through the normal-ordering
+multiplication, so any input word lands in canonical form on ingestion.
+Evaluation refuses, before forming it, any product or power step whose
+operands' term counts multiply past ``TERM_PAIR_BUDGET``, and any Weyl
+product over Q or Z whose degree would pass ``WEYL_DEGREE_LIMIT``.
 
 An endomorphism file is a ``key=value`` header line followed by one
 ``Var -> expression`` mapping per generator, in generator order:
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .poly import Poly, PolyEndo, default_names, power
 from .rings import Ring, ring_from_text
@@ -78,99 +80,18 @@ def _tokenize(text: str, line_no: int = 0) -> list[tuple[str, object, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, line_no: int):
-        self.tokens = tokens
-        self.line_no = line_no
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind: str | None = None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", self.line_no, tok[2])
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing input {tok[1]!r}", self.line_no, tok[2])
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] == "*":
-            self.take()
-            node = ("mul", node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek()[0] == "-":
-            self.take()
-            return ("neg", self.factor())
-        node = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            exp = self.take("int")[1]
-            node = ("pow", node, exp)
-        return node
-
-    def atom(self):
-        tok = self.peek()
-        if tok[0] == "int":
-            self.take()
-            value = Fraction(tok[1])
-            if self.peek()[0] == "/":
-                self.take()
-                den = self.take("int")
-                if den[1] == 0:
-                    raise ParseError("zero denominator", self.line_no, den[2])
-                value = Fraction(tok[1], den[1])
-            return ("num", value)
-        if tok[0] == "name":
-            self.take()
-            return ("var", tok[1])
-        if tok[0] == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        raise ParseError(f"expected a number, variable or '('", self.line_no, tok[2])
-
-
-def parse_expression(text: str, line_no: int = 0):
-    return _Parser(_tokenize(text, line_no), line_no).parse()
-
-
-def _collect_vars(ast, out: set):
-    if ast[0] == "var":
-        out.add(ast[1])
-    elif ast[0] in ("add", "sub", "mul"):
-        _collect_vars(ast[1], out)
-        _collect_vars(ast[2], out)
-    elif ast[0] == "neg":
-        _collect_vars(ast[1], out)
-    elif ast[0] == "pow":
-        _collect_vars(ast[1], out)
-
-
 # The most term pairs (the product of the operands' term counts) that one
 # product or one step of a power may multiply while an expression is
 # evaluated.  A product at the budget takes up to about a second over Q; a
 # few bytes such as (X1 + X2 + 1)^400 would otherwise ask for minutes.
 TERM_PAIR_BUDGET = 100_000
+
+# The highest degree a Weyl product over Q or Z may reach while an expression
+# is evaluated.  The relation check of Y1 -> Y1 + Y2^M, Y2 -> Y2 + Y1^M forms
+# d^M x^M, whose M + 1 exact Leibniz weights reach M!: M = 1000 takes 0.3 s,
+# M = 20,000 over a gigabyte.  Over F_p the weights stop at l = p - 1, and
+# polynomial products have none.
+WEYL_DEGREE_LIMIT = 1000
 
 
 def _product(a, b):
@@ -178,61 +99,106 @@ def _product(a, b):
         raise ParseError(
             f"a product of {len(a.terms)} by {len(b.terms)} terms exceeds the budget of {TERM_PAIR_BUDGET} term pairs"
         )
+    if isinstance(a, WeylElement) and not a.ring.p and a.terms and b.terms:
+        degree = a.degree() + b.degree()  # additive: the Weyl algebra over Q or Z has no zero divisors
+        if degree > WEYL_DEGREE_LIMIT:
+            raise ParseError(
+                f"a Weyl product of degree {degree} over {a.ring} exceeds the limit of degree {WEYL_DEGREE_LIMIT}"
+            )
     return a * b
 
 
-def _eval(ast, const, var):
-    kind = ast[0]
-    if kind == "num":
-        return const(ast[1])
-    if kind == "var":
-        return var(ast[1])
-    if kind == "add":
-        return _eval(ast[1], const, var) + _eval(ast[2], const, var)
-    if kind == "sub":
-        return _eval(ast[1], const, var) - _eval(ast[2], const, var)
-    if kind == "neg":
-        return -_eval(ast[1], const, var)
-    if kind == "mul":
-        return _product(_eval(ast[1], const, var), _eval(ast[2], const, var))
-    if kind == "pow":
-        return power(_eval(ast[1], const, var), ast[2], _product)
-    raise AssertionError(f"unknown AST node {kind!r}")
+# Binding powers of the pending operators; a "(" barrier binds at 0, so no
+# reduction crosses it.
+_BINDING = {"+": 1, "-": 1, "*": 2, "neg": 3}
 
 
-def eval_poly(ast, ring: Ring, names: Sequence[str]) -> Poly:
-    nvars = len(names)
-    index = {name: i for i, name in enumerate(names, start=1)}
-    return _eval(
-        ast,
-        lambda fr: Poly.const(ring, nvars, ring.of_fraction(fr)),
-        lambda name: Poly.variable(ring, nvars, index[name]),
-    )
+def _evaluate(text: str, line_no: int, variables: dict, one):
+    """The value of one expression, read left to right in one pass over its
+    tokens: ``variables`` maps each declared name to its value, ``one`` is
+    the unit that numerals scale.
 
+    Operands go on a value stack and operators wait on a pending stack until
+    one that binds no tighter follows, so sums and products group left to
+    right as the grammar does, at any depth.  A ``^ nat`` applies at once to
+    the operand just completed.  Every fault is a ``ParseError`` on this
+    line: syntax and undeclared names at their token, a failed evaluation
+    step (a budget, a numeral with no image in the ring) at column 1.
+    """
+    values: list = []
+    pending: list = []
 
-def eval_weyl(ast, algebra: WeylAlgebra, names: Sequence[str]) -> WeylElement:
-    index = {name: i for i, name in enumerate(names, start=1)}
-    return _eval(
-        ast,
-        lambda fr: algebra.const(algebra.ring.of_fraction(fr)),
-        lambda name: algebra.generator(index[name]),
-    )
+    def reduce(binding: int):
+        while pending and _BINDING.get(pending[-1], 0) >= binding:
+            op = pending.pop()
+            if op == "neg":
+                values[-1] = -values[-1]
+                continue
+            b = values.pop()
+            a = values[-1]
+            values[-1] = a + b if op == "+" else a - b if op == "-" else _product(a, b)
+
+    def expect(pos: int, kind: str):
+        tok = tokens[pos]
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", line_no, tok[2])
+        return tok[1]
+
+    pos = 0
+    try:
+        tokens = _tokenize(text, line_no)
+        while True:
+            kind, value, col = tokens[pos]
+            pos += 1
+            if kind in ("-", "("):  # a prefix minus or an open group: still before the operand
+                pending.append("neg" if kind == "-" else "(")
+                continue
+            if kind == "int":
+                if tokens[pos][0] == "/":
+                    den = expect(pos + 1, "int")
+                    if den == 0:
+                        raise ParseError("zero denominator", line_no, tokens[pos + 1][2])
+                    value = Fraction(value, den)
+                    pos += 2
+                values.append(one.scale(value))
+            elif kind == "name":
+                if value not in variables:
+                    raise ParseError(f"undeclared variable {value!r}", line_no, col)
+                values.append(variables[value])
+            else:
+                raise ParseError("expected a number, variable or '('", line_no, col)
+            while True:  # the operand is complete: its power, then any groups it closes
+                if tokens[pos][0] == "^":
+                    values[-1] = power(values[-1], expect(pos + 1, "int"), _product)
+                    pos += 2
+                kind, value, col = tokens[pos]
+                pos += 1
+                if kind != ")":
+                    break
+                reduce(1)
+                if not pending:
+                    raise ParseError("trailing input ')'", line_no, col)
+                pending.pop()
+            if kind in _BINDING:
+                reduce(_BINDING[kind])
+                pending.append(kind)
+                continue
+            if "(" in pending:
+                raise ParseError(f"expected ')', found {value!r}", line_no, col)
+            if kind != "end":
+                raise ParseError(f"trailing input {value!r}", line_no, col)
+            reduce(1)
+            return values[0]
+    except (ValueError, ArithmeticError) as exc:
+        if isinstance(exc, ParseError) and exc.col:  # a syntax fault, already placed
+            raise
+        raise ParseError(str(exc), line_no, 1) from None
 
 
 def parse_poly(text: str, ring: Ring, nvars: int, letter: str = "X") -> Poly:
     """Public API: the grammar's one-expression entry point, undeclared names refused."""
-    names = default_names(nvars, letter)
-    ast = parse_expression(text)
-    _check_names(ast, names, 0)
-    return eval_poly(ast, ring, names)
-
-
-def _check_names(ast, names: Sequence[str], line_no: int):
-    used: set = set()
-    _collect_vars(ast, used)
-    unknown = used - set(names)
-    if unknown:
-        raise ParseError(f"undeclared variable {sorted(unknown)[0]!r}", line_no, 1)
+    variables = dict(zip(default_names(nvars, letter), PolyEndo.identity(ring, nvars).images))
+    return _evaluate(text, 0, variables, Poly.one(ring, nvars))
 
 
 @dataclass(frozen=True)
@@ -298,7 +264,12 @@ def parse_endo_file(text: str) -> EndoFile:
         raise ParseError(
             f"expected {nvars} image lines for kind={kind}, found {len(body)}", header_no, 1
         )
-    algebra = WeylAlgebra(ring, n) if kind == "weyl" else None
+    if kind == "weyl":
+        algebra = WeylAlgebra(ring, n)
+        gens, one = algebra.generators(), algebra.one()
+    else:
+        gens, one = PolyEndo.identity(ring, nvars).images, Poly.one(ring, nvars)
+    variables = dict(zip(names, gens))
     images = []
     for expected, (line_no, line) in zip(names, body):
         lhs, arrow, rhs = line.partition("->")
@@ -306,18 +277,7 @@ def parse_endo_file(text: str) -> EndoFile:
             raise ParseError("missing '->'", line_no, 1)
         if lhs.strip() != expected:
             raise ParseError(f"expected image of {expected}, found {lhs.strip()!r}", line_no, 1)
-        try:  # the tree walks recurse once per operator
-            ast = parse_expression(rhs, line_no)
-            _check_names(ast, names, line_no)
-            try:
-                if kind == "weyl":
-                    images.append(eval_weyl(ast, algebra, names))
-                else:
-                    images.append(eval_poly(ast, ring, names))
-            except (ValueError, ArithmeticError) as exc:
-                raise ParseError(str(exc), line_no, 1) from None
-        except RecursionError:
-            raise ParseError("expression nested too deeply", line_no, 1) from None
+        images.append(_evaluate(rhs, line_no, variables, one))
     return EndoFile(ring=ring, kind=kind, n=n, nvars=nvars, images=tuple(images))
 
 

@@ -1,10 +1,11 @@
 """Input limits that keep one call bounded: the prime-field modulus, the
-one-variable fiber count, the center-slice commutators and the shared
-monomial budget."""
+one-variable fiber count, the Weyl degree over Q or Z, the center-slice
+commutators and the shared monomial budget."""
 
 from __future__ import annotations
 
 import inspect
+import json
 
 import pytest
 
@@ -19,7 +20,7 @@ from canonalg.conjectures import (
     decide_weyl_automorphism,
     extension_degree_estimate,
 )
-from canonalg.parsing import ParseError, parse_endo_file
+from canonalg.parsing import WEYL_DEGREE_LIMIT, ParseError, parse_endo_file
 from canonalg.poly import Poly, PolyEndo
 from canonalg.rings import GF, MODULUS_LIMIT, is_prime, ring_from_text
 
@@ -118,6 +119,38 @@ def test_weyl_commands_answer_a_file_with_exponent_a_million_over_f2(argv, tmp_p
     # x^M and d^M are central for even M; each Leibniz weight table stops at l = p - 1 = 1
     text = "ring=F2 kind=weyl n=1\nY1 -> Y1 + Y2^1000000\nY2 -> Y2 + Y1^1000000\n"
     assert main([*argv, "--input", _write(tmp_path, "big.endo", text)]) == 0
+
+
+# -- the Weyl degree over Q or Z -----------------------------------------------------------
+
+
+def _exponent_pair(m: int, ring: str = "Q") -> str:
+    return f"ring={ring} kind=weyl n=1\nY1 -> Y1 + Y2^{m}\nY2 -> Y2 + Y1^{m}\n"
+
+
+def test_weyl_degree_limit_boundary(tmp_path, capsys):
+    # the relation check forms d^M x^M, whose M + 1 exact weights reach M!
+    assert WEYL_DEGREE_LIMIT == 1000
+    out = tmp_path / "r.json"
+    at = _write(tmp_path, "at.endo", _exponent_pair(1000))
+    assert main(["check-weyl-endo", "--input", at, "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["relations_hold"] is False and (payload["witness"]["i"], payload["witness"]["j"]) == (1, 2)
+    for ring in ("Q", "Z"):
+        past = _write(tmp_path, "past.endo", _exponent_pair(1001, ring))
+        assert main(["check-weyl-endo", "--input", past]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 2, col 1: a Weyl product of degree 1001 over {ring} exceeds the limit of degree 1000\n"
+        )
+
+
+def test_weyl_degree_limit_spares_zero_operands_and_prime_fields():
+    ef = parse_endo_file("ring=Z kind=weyl n=1\nY1 -> 0 * Y1^1000 * Y2^1000\nY2 -> Y2\n")
+    assert ef.images[0].is_zero()
+    ef = parse_endo_file("ring=F3 kind=weyl n=1\nY1 -> Y1^1000 * Y2^1000\nY2 -> Y2\n")
+    assert ef.images[0].degree() == 2000
+    with pytest.raises(ParseError, match="degree 2000 over Q"):
+        parse_endo_file("ring=Q kind=weyl n=1\nY1 -> Y1^1000 * Y2^1000\nY2 -> Y2\n")
 
 
 # -- the center-slice commutators ---------------------------------------------------------

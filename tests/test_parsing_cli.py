@@ -8,7 +8,6 @@ from canonalg.parsing import (
     EndoFile,
     ParseError,
     parse_endo_file,
-    parse_expression,
     parse_poly,
     print_endo_file,
 )
@@ -277,10 +276,16 @@ def test_cli_report_envelope_fields(tmp_path):
     assert len(report["input_digest"]) == 64
 
 
-def test_cli_deeply_nested_input_exits_2(tmp_path, capsys):
-    f = write(tmp_path, "deep.endo", "ring=F2 kind=poly m=1\nX1 -> " + " + ".join(["X1"] * 3000) + "\n")
-    assert main(["invert", "--input", f]) == 2
-    assert "nested too deeply" in capsys.readouterr().err
+def test_cli_long_and_deeply_nested_input_is_read(tmp_path):
+    # evaluation is one pass over the tokens: neither length nor nesting depth is limited
+    text = "ring=F2 kind=poly m=1\nX1 -> " + " + ".join(["X1"] * 3000) + "\n"
+    f = write(tmp_path, "long.endo", text)
+    assert main(["invert", "--input", f]) == 0
+    assert parse_endo_file(text).images == (Poly.zero(GF(2), 1),)
+    depth = 10**5
+    x1 = Poly.variable(QQ, 1, 1)
+    assert parse_poly("(" * depth + "X1" + ")" * depth, QQ, 1) == x1
+    assert parse_poly("-" * (depth + 1) + "X1", QQ, 1) == -x1
 
 
 def test_cli_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
