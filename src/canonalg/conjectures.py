@@ -104,93 +104,46 @@ def decide_weyl_automorphism(
 
 # -- field-extension degree estimation ------------------------------------------------
 
-FIBER_POINT_BUDGET = 1 << 18  # points of F_p^m a fiber count may enumerate (p <= 509 for m = 2)
+FIBER_POINT_BUDGET = 1 << 18  # points of F_p^2 a fiber count may enumerate (p <= 509)
 
 
 @dataclass(frozen=True)
 class ExtensionDegreeReport:
     estimate: int | None
     exact: bool
-    separable: bool | None
-    max_fiber: int | None
-    fibers_sampled: int
-    blowup_fibers: int
     not_finite: bool
 
 
-def _uni_coeffs(f: Poly) -> list:
-    """Dense coefficient list of a univariate polynomial, low degree first."""
-    if f.is_zero():
-        return []
-    out = [f.ring.zero()] * (f.degree() + 1)
-    for exps, c in f.terms.items():
-        out[exps[0]] = c
-    return out
-
-
-def _uni_gcd_is_trivial(ring: Ring, a: list, b: list) -> bool:
-    """Euclidean gcd over a field; True when the gcd is a nonzero constant."""
-
-    def trim(v):
-        while v and ring.is_zero(v[-1]):
-            v.pop()
-        return v
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        inv_lead = ring.inv(b[-1])
-        r = list(a)
-        while len(r) >= len(b) and trim(r):
-            shift = len(r) - len(b)
-            factor = ring.mul(r[-1], inv_lead)
-            for i, bc in enumerate(b):
-                r[shift + i] = ring.sub(r[shift + i], ring.mul(factor, bc))
-            trim(r)
-        a, b = b, trim(r)
-    return len(a) == 1
-
-
 def extension_degree_estimate(endo: PolyEndo) -> ExtensionDegreeReport:
-    """Degree of the induced function-field extension, by fiber counting.
+    """Degree of the induced function-field extension.
 
-    For one variable the degree is exactly the polynomial degree (reported
-    with a separability flag from gcd(F, F')); its fibers are counted only
-    while p is within ``FIBER_POINT_BUDGET``, else ``max_fiber`` is None.
-    For two variables all fibers over the base field are enumerated; fibers
-    larger than the Bezout bound are treated as blowups and the estimate is
-    the largest remaining fiber, a lower-bound heuristic only.  More than 2
-    variables, or a plane F_p^2 of more than ``FIBER_POINT_BUDGET`` points,
-    raise ``ValueError``.
+    For one variable the degree is exactly the polynomial degree; no point
+    is evaluated.  For two variables all fibers over the base field are
+    enumerated; fibers larger than the Bezout bound are treated as blowups
+    and the estimate is the largest remaining fiber, a lower-bound heuristic
+    only.  More than 2 variables, or a plane F_p^2 of more than
+    ``FIBER_POINT_BUDGET`` points, raise ``ValueError``.
     """
-    ring = endo.ring
-    p = ring.characteristic()
+    p = endo.ring.characteristic()
     if p == 0:
         raise ValueError("fiber counting needs a prime field")
     m = endo.nvars
     if m > 2:
         raise ValueError("fiber counting supported for at most 2 variables")
     images = endo.images
-    if any(im.is_zero() or im.is_constant() for im in images):
-        return ExtensionDegreeReport(None, False, None, None, 0, 0, True)
-    counted = p**m <= FIBER_POINT_BUDGET
-    if m == 2 and not counted:
-        raise ValueError(f"fiber counting over F{p}^2 needs {p * p} points, over the budget of {FIBER_POINT_BUDGET}")
-    points = product(range(p), repeat=m) if counted else ()  # residues 0..p-1 are the elements of F_p
-    fibers = Counter(tuple(f.evaluate(pt) for f in images) for pt in points)
-
+    if any(im.is_constant() for im in images):  # a zero image is constant too
+        return ExtensionDegreeReport(None, False, True)
     if m == 1:
-        f = images[0]
-        fp = f.partial(1)
-        separable = not fp.is_zero() and _uni_gcd_is_trivial(ring, _uni_coeffs(f), _uni_coeffs(fp))
-        top = max(fibers.values(), default=None)
-        return ExtensionDegreeReport(f.degree(), True, separable, top, len(fibers), 0, False)
-
+        return ExtensionDegreeReport(images[0].degree(), True, False)
+    if p * p > FIBER_POINT_BUDGET:
+        raise ValueError(f"fiber counting over F{p}^2 needs {p * p} points, over the budget of {FIBER_POINT_BUDGET}")
+    # residues 0..p-1 are the elements of F_p
+    fibers = Counter(tuple(f.evaluate(pt) for f in images) for pt in product(range(p), repeat=2))
     bezout = images[0].degree() * images[1].degree()
     finite = [size for size in fibers.values() if size <= bezout]
-    blowups = len(fibers) - len(finite)
     if not finite:
-        return ExtensionDegreeReport(None, False, None, None, len(fibers), blowups, True)
-    return ExtensionDegreeReport(max(finite), False, None, max(finite), len(fibers), blowups, False)
+        return ExtensionDegreeReport(None, False, True)
+    return ExtensionDegreeReport(max(finite), False, False)
 
 
 # -- instance verdicts ------------------------------------------------------------------

@@ -73,14 +73,29 @@ def power(base, k: int, mul=mul):
     parser passes one that checks a term-pair budget before multiplying."""
     if k < 0:
         raise ValueError("negative power")
-    result = base._one()
+    result = None  # the first set bit takes the base itself, not a product with one
     while k:
         if k & 1:
-            result = mul(result, base)
+            result = base if result is None else mul(result, base)
         k >>= 1
         if k:
             base = mul(base, base)
-    return result
+    return base._one() if result is None else result
+
+
+_DIGIT_BLOCK = 10**4000  # under the interpreter's int-to-str digit limit, which stays on for the tokenizer
+
+
+def _decimal(c) -> str:
+    """``str`` of a non-negative int or ``Fraction``; an int past the
+    interpreter's digit limit is written in 4000-digit blocks."""
+    if c.denominator != 1:
+        return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+    n, blocks = c.numerator, []
+    while n >= _DIGIT_BLOCK:
+        n, low = divmod(n, _DIGIT_BLOCK)
+        blocks.append(f"{low:04000d}")
+    return str(n) + "".join(reversed(blocks))
 
 
 class Terms:
@@ -183,7 +198,7 @@ class Terms:
         pieces = []
         for key, c in self.sorted_terms():
             neg = signed and c < 0
-            mag = str(-c if neg else c)
+            mag = _decimal(-c if neg else c)
             word = [x if e == 1 else f"{x}^{e}" for x, e in zip(letters, self._flat(key)) if e]
             if mag != "1" or not word:
                 word.insert(0, mag)

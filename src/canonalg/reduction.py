@@ -37,7 +37,6 @@ class DegreeReport:
     deg_endo: int
     deg_center: int
     equal: bool
-    witness_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -72,18 +71,9 @@ def check_degree_preservation(endo: WeylEndo) -> DegreeReport:
 
 def center_degree_report(center: CenterEndo) -> DegreeReport:
     """:func:`check_degree_preservation` on an already computed restriction."""
-    endo = center.source
-    deg_endo = endo.degree()
+    deg_endo = center.source.degree()
     deg_center = center.endo.degree()
-    witness = None
-    if deg_endo != deg_center:
-        for i, (im, cim) in enumerate(zip(endo.images, center.endo.images), start=1):
-            d1 = 0 if im.is_zero() else im.degree()
-            d2 = 0 if cim.is_zero() else cim.degree()
-            if d1 != d2:
-                witness = i
-                break
-    return DegreeReport(deg_endo, deg_center, deg_endo == deg_center, witness)
+    return DegreeReport(deg_endo, deg_center, deg_endo == deg_center)
 
 
 def check_center_symplectic(endo: WeylEndo) -> CenterSymplecticReport:

@@ -50,6 +50,10 @@ CASES = {
     "invert-weyl-F5-n2": (["invert-weyl", "--input", _input("weyl-F5-n2")], 0),
     "invert-weyl-pert-F5": (["invert-weyl", "--input", _input("weyl-pert-F5")], 0),
     "check-instance-CJC-F3": (["check-instance", "--tag", "CJC", "--input", _input("poly-F3")], 0),
+    "check-instance-CJC-deficit-F3": (
+        ["check-instance", "--tag", "CJC", "--input", _input("poly-deficit-F3")],
+        0,
+    ),
     "check-instance-NJC-deficit-F3": (
         ["check-instance", "--tag", "NJC", "--input", _input("poly-deficit-F3")],
         1,

@@ -1,6 +1,7 @@
 """Input limits that keep one call bounded: the prime-field modulus, the
-one-variable fiber count, the Weyl degree over Q or Z, the center-slice
-commutators and the shared monomial budget."""
+one-variable extension degree (read off the degree, no point evaluated), the
+Weyl degree over Q or Z, the center-slice commutators and the shared monomial
+budget."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import json
 
 import pytest
 
-from canonalg import cli, conjectures
+from canonalg import cli
 from canonalg.cli import main
 from canonalg.conjectures import (
     FIBER_POINT_BUDGET,
@@ -69,7 +70,7 @@ def test_huge_modulus_input_exits_2(tmp_path, capsys):
     assert main(["invert", "--input", big]) == 0
 
 
-# -- the one-variable fiber count ---------------------------------------------------------
+# -- the one-variable extension degree -----------------------------------------------------
 
 
 def _univariate(ring, *coeffs):
@@ -77,32 +78,35 @@ def _univariate(ring, *coeffs):
 
 
 @pytest.mark.parametrize("tag", ["CJC", "NJC"])
-def test_one_variable_fiber_count_respects_the_budget(monkeypatch, tag):
+def test_one_variable_extension_degree_evaluates_no_point(monkeypatch, tag):
     maps = [
         _univariate(GF(5), 0, 1, 1),  # X + X^2
         _univariate(GF(7), 3, 2),  # an automorphism
         _univariate(GF(7), 0, 0, 0, 0, 0, 0, 0, 1),  # X^7, inseparable, degree a multiple of p
         _univariate(GF(3), 0, 1, 0, 2),  # X + 2 X^3
     ]
-    before = [(extension_degree_estimate(endo), check_instance(tag, endo).to_payload()) for endo in maps]
-    assert all(rep.max_fiber is not None and rep.fibers_sampled for rep, _ in before)
-    monkeypatch.setattr(conjectures, "FIBER_POINT_BUDGET", 2)  # below every p here
-    for endo, (rep, payload) in zip(maps, before):
-        capped = extension_degree_estimate(endo)
-        assert (capped.max_fiber, capped.fibers_sampled) == (None, 0)
-        assert (capped.estimate, capped.exact, capped.separable, capped.not_finite) == (
-            rep.estimate, rep.exact, rep.separable, rep.not_finite
-        )
-        assert check_instance(tag, endo).to_payload() == payload
-    monkeypatch.setattr(conjectures, "FIBER_POINT_BUDGET", 5)  # p = 5 is at the budget: counted
-    assert extension_degree_estimate(maps[0]) == before[0][0]
+
+    def no_point(*args):
+        raise AssertionError("a point of F_p was evaluated")
+
+    monkeypatch.setattr(Poly, "evaluate", no_point)
+    for endo in maps:
+        degree = endo.degree()
+        rep = extension_degree_estimate(endo)
+        assert (rep.estimate, rep.exact, rep.not_finite) == (degree, True, False)
+        verdict = check_instance(tag, endo)
+        assert verdict.automorphism == ("yes" if degree == 1 else "no")
+        assert not verdict.estimated
+        assert not any("not evaluated" in w for w in verdict.witnesses)
+        if tag == "CJC":
+            assert verdict.flags["extension_degree_ok"] is (degree % endo.ring.p != 0)
 
 
 def test_one_variable_fibers_over_a_large_prime_are_not_enumerated(tmp_path):
     p = 1000003
     assert p > FIBER_POINT_BUDGET
     rep = extension_degree_estimate(_univariate(GF(p), 0, 1, 1))
-    assert (rep.estimate, rep.exact, rep.separable, rep.max_fiber, rep.fibers_sampled) == (2, True, True, None, 0)
+    assert (rep.estimate, rep.exact, rep.not_finite) == (2, True, False)
     f = _write(tmp_path, "m1.endo", f"ring=F{p} kind=poly m=1\nX1 -> X1 + X1^2\n")
     assert main(["check-instance", "--tag", "CJC", "--input", f]) == 0
 
@@ -142,6 +146,14 @@ def test_weyl_degree_limit_boundary(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: line 2, col 1: a Weyl product of degree 1001 over {ring} exceeds the limit of degree 1000\n"
         )
+
+
+def test_witness_with_coefficients_past_the_int_digit_limit_is_written(tmp_path):
+    # the commutator carries 4000-digit and longer coefficients; the tokenizer's limit stays on
+    text = f"ring=Q kind=weyl n=1\nY1 -> Y1 + {'7' * 2000}*Y2^1000\nY2 -> Y2 + Y1^1000\n"
+    out = tmp_path / "r.json"
+    assert main(["check-weyl-endo", "--input", _write(tmp_path, "big.endo", text), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["payload"]["relations_hold"] is False
 
 
 def test_weyl_degree_limit_spares_zero_operands_and_prime_fields():
