@@ -271,6 +271,10 @@ _HANDLERS = {
 }
 
 
+# characters of a payload value a summary line shows; the report keeps the whole value
+SUMMARY_WIDTH = 200
+
+
 def _summary_lines(command: str, payload: dict) -> list[str]:
     keep = {
         "symplectic", "n_factorial_unit", "det", "det_is_one", "assertion_violated",
@@ -283,7 +287,10 @@ def _summary_lines(command: str, payload: dict) -> list[str]:
     lines = [f"{command}:"]
     for key, value in payload.items():
         if key in keep:
-            lines.append(f"  {key} = {value}")
+            text = str(value)
+            if len(text) > SUMMARY_WIDTH:
+                text = f"{text[:SUMMARY_WIDTH]}... ({len(text)} characters)"
+            lines.append(f"  {key} = {text}")
     return lines
 
 

@@ -16,8 +16,10 @@ nonzero entries are touched, with plain ints mod p over F_p and
 
 Columns can be appended after a solve and each is eliminated once, so a
 search that widens its basis step by step pays for each column once.  A
-right-hand side is solved by reducing it the same way: a nonzero remainder
-means no solution, otherwise the pivot factors times the stored
+column that shares no row key with the pivots skips the reduction pass
+after one disjointness test, and a column whose lead is already 1 is not
+scaled.  A right-hand side is solved by reducing it the same way: a nonzero
+remainder means no solution, otherwise the pivot factors times the stored
 combinations give x.  x lies on the independent columns only, so it is the
 solution dense Gauss-Jordan elimination gives with free unknowns set to
 zero.
@@ -67,9 +69,9 @@ class ColumnEchelon:
         meets no pivot is returned as it is, otherwise a reduced copy.
         """
         p, position, columns, combos = self.p, self._position, self.columns, self.combos
-        todo = [position[k] for k in column if k in position]
-        if not todo:
+        if position.keys().isdisjoint(column):
             return column
+        todo = [position[k] for k in column if k in position]
         heapify(todo)
         v = dict(column)
         get = v.get
@@ -106,8 +108,8 @@ class ColumnEchelon:
 
         The pivot is the first key left in the reduced column; another choice
         would change only the fill-in, never the rank or a solution.  A column
-        that needs no reducing is stored as given, so the caller must not
-        change it afterwards (term dicts never change).
+        that needs no reducing and leads with 1 is stored as given, so the
+        caller must not change it afterwards (term dicts never change).
         """
         index = self.added
         self.added += 1
@@ -117,8 +119,9 @@ class ColumnEchelon:
             return False
         p = self.p
         pivot = next(iter(v))
-        inv = pow(v[pivot], -1, p) if p else 1 / Fraction(v[pivot])
-        if inv != 1:
+        lead = v[pivot]
+        if lead != 1:
+            inv = pow(lead, -1, p) if p else 1 / Fraction(lead)
             v = _scaled(v, inv, p)
             combo = _scaled(combo, inv, p) if combo is not None else None
         self._position[pivot] = len(self.columns)

@@ -395,6 +395,27 @@ class _Images:
             key = k
         return cache[key]
 
+    def graded(self, degree: int) -> list:
+        """``(exponents, image)`` of each monomial of total degree ``degree``,
+        in graded order, each image cached.
+
+        Asked for the degrees in order, as the search does, every monomial of
+        degree - 1 is cached, so each image is one product: its prefix's
+        image times its last letter's image.  :meth:`image` walks the chain
+        for any other key.
+        """
+        cache = self.cache
+        if not degree:
+            return [((0,) * len(self.units), cache[0])]
+        pack, times, width, units, letters = self.pack, self._times, self.width, self.units, self.letters
+        out = []
+        for b in compositions(degree, len(units)):
+            key = pack(b)
+            j = (key.bit_length() - 1) // width
+            cache[key] = image = times(cache[key - units[j]], *letters[j])
+            out.append((b, image))
+        return out
+
     def _times(self, left: dict, right: list, lowers: bool) -> dict:
         """``left`` times one letter image, both packed, reduced.
 
@@ -504,9 +525,11 @@ class Endo:
         matrix serves every cap: each cap appends the images of its degree-D
         monomials and ``solve_many`` (:func:`linalg.solve_many`, passed in by
         the search entry points of ``weyl`` and ``conjectures``) eliminates
-        only those before solving the targets again.  Returns (inverse,
-        degree at which it was found), or (None, None) once the caps are
-        exhausted.
+        only those before solving the targets again.  Every degree-(D-1)
+        image is cached by then, so each new column is one product, its
+        prefix's image times its last letter's (:meth:`_Images.graded`).
+        Returns (inverse, degree at which it was found), or (None, None)
+        once the caps are exhausted.
         """
         ring = self.ring
         if not ring.is_field():
@@ -518,8 +541,8 @@ class Endo:
         basis: list = []
         for cap in range(1, degree_cap + 1):
             for degree in (0, 1) if cap == 1 else (cap,):
-                for b in compositions(degree, len(generators)):
-                    matrix.append(images.image(images.pack(b)))
+                for b, column in images.graded(degree):
+                    matrix.append(column)
                     basis.append(b)
             inverse = self.checked_inverse(basis, solve_many(ring, matrix, rhs), images)
             if inverse is not None:

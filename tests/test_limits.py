@@ -156,6 +156,23 @@ def test_witness_with_coefficients_past_the_int_digit_limit_is_written(tmp_path)
     assert json.loads(out.read_text())["payload"]["relations_hold"] is False
 
 
+def test_summary_cuts_a_long_witness_and_the_report_keeps_it(tmp_path, capsys):
+    text = f"ring=Q kind=weyl n=1\nY1 -> Y1 + {'7' * 2000}*Y2^1000\nY2 -> Y2 + Y1^1000\n"
+    path = _write(tmp_path, "big.endo", text)
+    out = tmp_path / "r.json"
+    assert main(["check-weyl-endo", "--input", path, "--json", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reported = json.loads(out.read_text())["payload"]["witness"]  # the report sorts its keys
+    witness = str({key: reported[key] for key in ("i", "j", "commutator")})
+    assert len(witness) > 10**6
+    assert lines == [
+        "check-weyl-endo:",
+        "  relations_hold = False",
+        f"  witness = {witness[: cli.SUMMARY_WIDTH]}... ({len(witness)} characters)",
+        "  degree = 1000",
+    ]
+
+
 def test_weyl_degree_limit_spares_zero_operands_and_prime_fields():
     ef = parse_endo_file("ring=Z kind=weyl n=1\nY1 -> 0 * Y1^1000 * Y2^1000\nY2 -> Y2\n")
     assert ef.images[0].is_zero()

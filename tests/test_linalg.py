@@ -18,6 +18,8 @@ import pytest
 import linalg_oracle as oracle
 from linalg_dense import matrix_rank, solve_many
 from linalg_oracle import scatter_rows
+from canonalg import linalg
+from canonalg.linalg import ColumnEchelon, SparseMatrix
 from canonalg.rings import GF, QQ, ZZ, Ring
 
 RINGS = [GF(2), GF(3), GF(5), GF(10007), QQ]
@@ -140,3 +142,45 @@ def test_scatter_rows_matches_per_cell_assembly():
     rows = scatter_rows(columns, row_keys, 0)
     assert rows == [[col.get(rk, 0) for col in columns] for rk in row_keys]
     assert scatter_rows([], [], 0) == []
+
+
+# -- what the echelon stores ------------------------------------------------------------------
+
+
+def echelon_matching_the_oracle(ring: Ring, columns: list, targets: list) -> ColumnEchelon:
+    """The echelon of ``columns`` after solving ``targets``, whose solutions
+    equal the dense oracle's on the same system."""
+    matrix = SparseMatrix()
+    for column in columns:
+        matrix.append(column)
+    rhs = [matrix.vector(t) for t in targets]
+    got = linalg.solve_many(ring, matrix, rhs)
+    want = oracle.solve_many(ring, [list(row) for row in matrix], [list(b) for b in rhs])
+    assert got == [None if x is None else {i: v for i, v in enumerate(x) if v} for x in want]
+    return matrix.echelon
+
+
+def test_a_column_meeting_no_pivot_is_stored_as_given():
+    # the second column shares key 1 with the first, which is not a pivot
+    first, second = {0: 1, 1: 3}, {1: 1, 2: 4}
+    echelon = echelon_matching_the_oracle(GF(5), [first, second], [{0: 2, 1: 1, 2: 1}, {3: 1}])
+    assert echelon.pivots == [0, 1]
+    assert echelon.columns[0] is first and echelon.columns[1] is second
+
+
+def test_a_column_meeting_a_pivot_is_reduced_in_a_copy():
+    first, second = {0: 1, 1: 3}, {0: 2, 1: 2, 2: 4}
+    before = list(second.items())
+    echelon = echelon_matching_the_oracle(GF(5), [first, second], [{0: 3, 1: 2, 2: 4}, {2: 1}])
+    assert echelon.columns[1] is not second and list(second.items()) == before
+    assert echelon.columns[1] == {1: 1, 2: 4}  # second - 2 * first, mod 5
+
+
+@pytest.mark.parametrize("ring", [GF(7), QQ], ids=str)
+def test_a_lead_one_column_is_stored_unscaled(ring):
+    one = Fraction(1) if ring is QQ else 1
+    unit, other = {0: one, 1: ring.of_int(3)}, {1: ring.of_int(2), 2: ring.of_int(5)}
+    echelon = echelon_matching_the_oracle(ring, [unit, other], [{0: one, 1: ring.of_int(5), 2: ring.of_int(5)}])
+    assert echelon.columns[0] is unit
+    # a lead other than 1 is scaled, into a new dict
+    assert echelon.columns[1] is not other and echelon.columns[1][1] == 1

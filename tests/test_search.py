@@ -166,6 +166,37 @@ def test_kept_matrix_is_every_caps_dense_system_and_solves_it_alike(p, n, seed, 
         assert matrix.echelon.added == len(basis)
 
 
+def search_columns_match_the_oracle(endo, cap: int) -> None:
+    """The columns the search hands ``solve_many``, each one product from its
+    cached prefix, equal the tuple chain's images in keys, values and dict order."""
+    seen = []
+
+    def recording(ring, matrix, rhs):
+        seen.append(matrix)
+        return solve_many(ring, matrix, rhs)
+
+    _, found = endo.inverse_search(cap, recording)
+    assert len(seen) == (found or cap) and all(m is seen[0] for m in seen)
+    basis = monomials_upto(len(endo.images), found or cap)
+    columns = seen[0].columns
+    assert len(columns) == len(basis)
+    images, cache = _Images(endo, cap), search_oracle.image_cache(endo)
+    for b, column in zip(basis, columns):
+        want = images.packed(search_oracle.monomial_image(endo, b, cache))
+        assert list(column.items()) == list(want.items()), (repr(endo), b)
+
+
+def test_search_columns_match_the_tuple_chain_on_the_corpus():
+    for endo in weyl_corpus():
+        search_columns_match_the_oracle(endo, 4)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3), GF(5)], ids=str)
+def test_search_columns_match_the_tuple_chain(ring):
+    for endo in poly_maps(ring, 42):
+        search_columns_match_the_oracle(endo, 4)
+
+
 @pytest.mark.parametrize("which", ["weyl", "poly"])
 def test_searches_solve_once_per_cap_through_their_modules_solve_many(which, monkeypatch):
     """The searches look ``solve_many`` up in their own module, once per cap,
