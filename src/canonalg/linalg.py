@@ -22,7 +22,9 @@ scaled.  A right-hand side is solved by reducing it the same way: a nonzero
 remainder means no solution, otherwise the pivot factors times the stored
 combinations give x.  x lies on the independent columns only, so it is the
 solution dense Gauss-Jordan elimination gives with free unknowns set to
-zero.
+zero.  A right-hand side made by :meth:`SparseMatrix.vector` carries its
+remainder and combination from solve to solve, reduced only at the pivots
+stored since (:meth:`ColumnEchelon.resolve`).
 """
 
 from __future__ import annotations
@@ -134,13 +136,21 @@ class ColumnEchelon:
     def solve(self, target: dict) -> dict | None:
         """``{original column index: coefficient}`` with the columns summing
         to ``target``, zero off the independent columns; None if none exists."""
+        return self.resolve(target, {})[1]
+
+    def resolve(self, remainder: dict, combo: dict) -> tuple:
+        """``(remainder, solution)`` of a right-hand side reduced so far to
+        ``remainder``, with ``combo`` (updated in place).  A stored column is
+        0 at the pivots stored before it, so a remainder cleared at the first
+        r pivots meets only later ones, taken in the order a from-scratch
+        :meth:`solve` takes them: the results are equal."""
         if self.combos is None:
             raise ValueError("solving needs an echelon that keeps combinations")
-        combo: dict = {}
-        if self._reduce(target, combo):
-            return None
+        remainder = self._reduce(remainder, combo)
+        if remainder:
+            return remainder, None
         p = self.p
-        return {i: -c % p if p else -c for i, c in combo.items()}
+        return remainder, {i: -c % p if p else -c for i, c in combo.items()}
 
 
 def _scaled(v: dict, f, p: int) -> dict:
@@ -218,12 +228,14 @@ class _Row(Sequence):
 
 
 class _Column(Sequence):
-    """A right-hand side of a :class:`SparseMatrix`, read over its rows."""
+    """A right-hand side of a :class:`SparseMatrix`, read over its rows:
+    ``entries`` as given, ``remainder`` and ``combo`` as reduced so far."""
 
-    __slots__ = ("matrix", "entries")
+    __slots__ = ("matrix", "entries", "remainder", "combo")
 
     def __init__(self, matrix: SparseMatrix, entries: dict):
         self.matrix, self.entries = matrix, entries
+        self.remainder, self.combo = entries, {}
 
     def __len__(self) -> int:
         return len(self.matrix)
@@ -242,10 +254,18 @@ def solve_many(ring: Ring, matrix: SparseMatrix, rhs: Sequence[_Column]) -> list
 
     Eliminates the columns appended since the last solve, then returns per
     right-hand side ``{column index: coefficient}``, zero off the
-    independent columns, or None where that system is inconsistent.
+    independent columns, or None where that system is inconsistent.  One
+    made by another matrix is solved from scratch, not carried.
     """
     echelon = matrix.eliminated(ring)
-    return [echelon.solve(b.entries) for b in rhs]
+    out = []
+    for b in rhs:
+        if b.matrix is matrix:
+            b.remainder, x = echelon.resolve(b.remainder, b.combo)
+        else:
+            x = echelon.solve(b.entries)
+        out.append(x)
+    return out
 
 
 def matrix_rank(ring: Ring, matrix: SparseMatrix) -> int:

@@ -341,15 +341,16 @@ class _Images:
     multiplying two monomials adds their keys.  An image is a dict
     ``{packed key: coefficient}``; images are cached by packed monomial key.
     Packing follows Monagan and Pearce (POLY, Maple 17, 2013); public
-    ``terms`` keep their tuple keys.
+    ``terms`` keep their tuple keys.  A ``width`` passed in (one that
+    bounds the exponents) replaces the one ``max_degree`` sets.
     """
 
     __slots__ = ("p", "width", "mask", "shifts", "units", "letters", "weights", "cache")
 
-    def __init__(self, endo: "Endo", max_degree: int):
+    def __init__(self, endo: "Endo", max_degree: int, width: int | None = None):
         letters = [[(im._flat(key), c) for key, c in im.terms.items()] for im in endo._letter_images()]
         top = max([sum(flat) for terms in letters for flat, _ in terms], default=0)
-        self.width = width = (max_degree * max(top, 1)).bit_length() or 1
+        self.width = width = width or (max_degree * max(top, 1)).bit_length() or 1
         self.mask = (1 << width) - 1
         self.shifts = shifts = [width * k for k in range(len(letters))]
         self.units = units = [1 << s for s in shifts]
@@ -374,11 +375,19 @@ class _Images:
         pack, flat = self.pack, elem._flat
         return {pack(flat(key)): c for key, c in elem.terms.items()}
 
-    def unpacked(self, sums: dict, elem):
-        """The element of ``elem``'s space with the given packed sums, reduced."""
+    def unpacked(self, terms: dict, elem):
+        """The element of ``elem``'s space with the given packed terms."""
         shifts, mask, unflat = self.shifts, self.mask, elem._unflat
-        sums = reduce_sums(elem.ring, sums)
-        return elem._make({unflat(tuple([k >> s & mask for s in shifts])): c for k, c in sums.items() if c})
+        return elem._make({unflat(tuple([k >> s & mask for s in shifts])): c for k, c in terms.items()})
+
+    def linear(self, pairs) -> dict:
+        """The sum of c times the image of each ``(packed key, c)`` pair, reduced."""
+        out: dict = {}
+        get, image = out.get, self.image
+        for key, c in pairs:
+            for k, v in image(key).items():
+                out[k] = get(k, 0) + c * v
+        return _reduced(out, self.p)
 
     def image(self, key: int) -> dict:
         """The image of the monomial with packed key ``key``: the image of the
@@ -448,9 +457,14 @@ class _Images:
                     else:
                         for k, cw in expansion:
                             out[k] = get(k, 0) + cw
-        if p:
-            return {k: r for k, c in out.items() if (r := c % p)}
-        return {k: c for k, c in out.items() if c}
+        return _reduced(out, p)
+
+
+def _reduced(sums: dict, p: int) -> dict:
+    """Packed sums reduced mod p (over F_p), zeros dropped."""
+    if p:
+        return {k: r for k, c in sums.items() if (r := c % p)}
+    return {k: c for k, c in sums.items() if c}
 
 
 class Endo:
@@ -490,13 +504,8 @@ class Endo:
     def _apply(self, f, images: _Images):
         if f._space() != self._space():
             raise ValueError("element from a different space than the endomorphism")
-        out: dict = {}
-        get = out.get
-        pack, flat, image = images.pack, f._flat, images.image
-        for key, c in f.terms.items():
-            for k, v in image(pack(flat(key))).items():
-                out[k] = get(k, 0) + c * v
-        return images.unpacked(out, f)
+        pack, flat = images.pack, f._flat
+        return images.unpacked(images.linear([(pack(flat(key)), c) for key, c in f.terms.items()]), f)
 
     def apply(self, f):
         """Image of an element: the sum of its terms' monomial images."""
@@ -535,28 +544,30 @@ class Endo:
         if not ring.is_field():
             raise ValueError("inverse search needs field coefficients")
         images = _Images(self, degree_cap)
-        generators = self._generators()
+        targets = [images.packed(t) for t in self._generators()]
         matrix = SparseMatrix()
-        rhs = [matrix.vector(images.packed(t)) for t in generators]
+        rhs = [matrix.vector(t) for t in targets]
         basis: list = []
         for cap in range(1, degree_cap + 1):
             for degree in (0, 1) if cap == 1 else (cap,):
                 for b, column in images.graded(degree):
                     matrix.append(column)
                     basis.append(b)
-            inverse = self.checked_inverse(basis, solve_many(ring, matrix, rhs), images)
+            inverse = self.checked_inverse(basis, solve_many(ring, matrix, rhs), images, targets)
             if inverse is not None:
                 return inverse, cap
         return None, None
 
-    def checked_inverse(self, basis: list, solutions: list, images: _Images):
+    def checked_inverse(self, basis: list, solutions: list, images: _Images, targets: list):
         """The inverse read off one cap's solutions, None if a system had none.
 
         Each solution maps basis indices to coefficients.  The candidate psi
         is built through the subclass constructor (a Weyl one verifies the
-        relations); ``self(psi(Y_i))``, on the search's engine ``images``
-        that holds the image of every basis monomial, and ``psi(self(Y_i))``
-        must be the generators.  A one-sided solution makes this map
+        relations) and checked two-sided against ``targets``, the packed
+        generators: ``self(psi(Y_i))`` sums cached basis images on the
+        search's engine ``images``, ``psi(self(Y_i))`` is formed on an engine
+        of psi's at that engine's width (deg psi <= cap, so it bounds the
+        exponents), and nothing is unpacked.  A one-sided solution makes this map
         surjective, hence injective (the rings are Noetherian), so any
         failure here, the relation check included, is an internal bug.
         """
@@ -568,9 +579,9 @@ class Endo:
             inverse = type(self)(*self._space(), candidate)
         except ValueError as exc:  # a Weyl candidate that breaks the relations
             raise AssertionError(f"inverse candidate is not an endomorphism: {exc} (internal bug)") from exc
-        generators = self._generators()
-        after = [self._apply(f, images) for f in inverse.images]
-        if after != generators or inverse.apply_each(self.images) != generators:
+        pack, back = images.pack, _Images(inverse, 0, images.width)
+        after = [images.linear([(pack(basis[i]), c) for i, c in sol.items()]) for sol in solutions]
+        if after != targets or [back.linear(images.linear(t.items()).items()) for t in targets] != targets:
             raise AssertionError("one-sided inverse failed the two-sided check (internal bug)")
         return inverse
 

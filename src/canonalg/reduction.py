@@ -3,12 +3,14 @@
 Over F_p the center of the Weyl algebra is the polynomial ring generated by
 the p-th powers of the generators; writing X_i for Y_i^p, every relation-
 verified endomorphism restricts to a polynomial endomorphism of those 2n
-commutative variables.  The restriction is computed from the definition:
-the p-th power of each image is the image of the monomial Y_i^p, built one
-letter at a time on the endomorphism's monomial-image engine
-(:meth:`canonalg.poly.Endo.apply_each`), checked to be central (all
-exponents divisible by p), and read back through :func:`weyl.dequantize`
-with exponents divided by p.  A failed check is an internal error, not data.
+commutative variables.  The restriction is computed from the definition,
+on the endomorphism's packed-key monomial-image engine
+(:class:`canonalg.poly._Images`): the p-th power of each image is the image
+of the monomial Y_i^p, whose packed key is p units in Y_i's letter, built
+one letter at a time.  Its packed keys are read straight into exponents of
+the X_i (:func:`weyl.swap_blocks` orders the engine's fields), each checked
+to be divisible by p (the power is central) and divided by p; no Weyl
+element is formed.  A failed check is an internal error, not data.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poisson import PoissonContext, is_symplectic
-from .poly import Poly, PolyEndo
-from .weyl import WeylEndo, dequantize, is_central, quantize
+from .poly import Poly, PolyEndo, _Images
+from .weyl import WeylEndo, swap_blocks
 
 
 class CenterReductionError(AssertionError):
@@ -47,21 +49,30 @@ class CenterSymplecticReport:
 
 def induced_center_endo(endo: WeylEndo) -> CenterEndo:
     """The endomorphism induced on the center: sigma(Y_i)^p = sigma(Y_i^p),
-    each Y_i^p the quantized X_i^p, each image read back as a polynomial in
-    the X_i = Y_i^p through :func:`dequantize`, its exponents divided by p."""
+    the image of the monomial p units in Y_i's letter on one image engine.
+    Each of its packed keys is read in the order of X_1..X_2n
+    (:func:`swap_blocks` of the engine's shifts); every exponent must be
+    divisible by p, and the quotients key its term in the X_i = Y_i^p."""
     alg = endo.algebra
     ring, m = alg.ring, alg.ngens
     p = ring.characteristic()
     if p == 0:
         raise ValueError("center reduction needs prime-field coefficients")
-    powers = endo.apply_each([quantize(alg, Poly.variable(ring, m, i).frobenius()) for i in range(1, m + 1)])
-    images = []
-    for i, power in enumerate(powers, start=1):
-        if not is_central(power):
-            raise CenterReductionError(f"image {i} has non-central p-th power {power.to_text()}")
-        f = dequantize(power)
-        images.append(f._make({tuple(e // p for e in exps): c for exps, c in f.terms.items()}))
-    return CenterEndo(PolyEndo(ring, m, images), endo)
+    images = _Images(endo, p)
+    mask, shifts = images.mask, swap_blocks(images.shifts)
+    zero = Poly.zero(ring, m)
+    out = []
+    for i, shift in enumerate(shifts, start=1):
+        power = images.image(p << shift)
+        terms = {}
+        for key, c in power.items():
+            exps = [key >> s & mask for s in shifts]
+            if any([e % p for e in exps]):
+                text = images.unpacked(power, alg.one()).to_text()
+                raise CenterReductionError(f"image {i} has non-central p-th power {text}")
+            terms[tuple([e // p for e in exps])] = c
+        out.append(zero._make(terms))
+    return CenterEndo(PolyEndo(ring, m, out), endo)
 
 
 def check_degree_preservation(endo: WeylEndo) -> DegreeReport:

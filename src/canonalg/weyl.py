@@ -33,7 +33,8 @@ independent test of that identity.
 
 The algebra quantizes the canonical Poisson algebra in 2n variables: the
 normal-ordering map :func:`quantize` sends X_i to Y_i and :func:`dequantize`
-reads it back, so no other module knows the block layout.  The elementary
+reads it back, both through :func:`swap_blocks`, the one statement of the
+block layout, which the center restriction also reads.  The elementary
 automorphisms (shears, pair swaps, unit scalings) are the quantized ones of
 :mod:`canonalg.poisson`; each of their image terms lies in one block, whose
 letters commute, so normal ordering is exact on them.
@@ -98,7 +99,7 @@ class WeylAlgebra:
         if not 1 <= i <= self.ngens:
             raise IndexError(f"generator index {i} out of range 1..{self.ngens}")
         e = (0,) * (i - 1) + (1,) + (0,) * (self.ngens - i)  # X_i, keyed as :func:`quantize` keys it
-        return WeylElement(self, {(e[self.n :], e[: self.n]): self.ring.one()})
+        return WeylElement(self, {WeylElement._unflat(swap_blocks(e)): self.ring.one()})
 
     def generators(self) -> list["WeylElement"]:
         return [self.generator(i) for i in range(1, self.ngens + 1)]
@@ -217,6 +218,7 @@ def is_central(a: WeylElement) -> bool:
     differentiates in one letter and sends distinct terms to distinct terms.
     So an element is central iff every exponent of every term is 0 in the
     ring: divisible by p over F_p, zero over Q and Z (only the constants).
+    Public API: the center restriction makes the same test on packed keys.
     """
     p = a.ring.p
     return not any(e % p if p else e for g, d in a.terms for e in g + d)
@@ -286,20 +288,28 @@ def inverse_degree_bound(endo: WeylEndo) -> int:
 # -- quantization of the canonical Poisson algebra -------------------------------
 
 
+def swap_blocks(seq: Sequence) -> tuple:
+    """The block layout, either way: X_1..X_2n (derivations first) are the
+    flat letters of a normal-ordered key (positions first) with the halves
+    swapped; so is any per-letter list, an image engine's shifts too."""
+    n = len(seq) // 2
+    return tuple(seq[n:]) + tuple(seq[:n])
+
+
 def quantize(algebra: WeylAlgebra, f: Poly) -> WeylElement:
     """The normal-ordered element with X_i -> Y_i: c X^e becomes
     c x^(e_{n+1..2n}) d^(e_{1..n}).  Linear, not multiplicative; it is
     exact on terms that lie in one block, whose letters commute."""
     if f.nvars != algebra.ngens or f.ring != algebra.ring:
         raise ValueError("polynomial must have 2n variables over the algebra ring")
-    n = algebra.n
-    return WeylElement(algebra, {(e[n:], e[:n]): c for e, c in f.terms.items()})
+    unflat = WeylElement._unflat
+    return WeylElement(algebra, {unflat(swap_blocks(e)): c for e, c in f.terms.items()})
 
 
 def dequantize(elem: WeylElement) -> Poly:
     """The inverse of :func:`quantize` on terms: c x^g d^e becomes c X^(e, g)."""
     algebra = elem.algebra
-    return Poly(algebra.ring, algebra.ngens, {d + g: c for (g, d), c in elem.terms.items()})
+    return Poly(algebra.ring, algebra.ngens, {swap_blocks(g + d): c for (g, d), c in elem.terms.items()})
 
 
 def quantized(algebra: WeylAlgebra, endo: PolyEndo) -> WeylEndo:

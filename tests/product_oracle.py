@@ -14,9 +14,12 @@ names, which formed products only to cancel them: commutators with every
 generator, products of ``partial`` polynomials, and p-th powers by repeated
 squaring.  ``read_central_by_hand`` is the engine route of
 ``induced_center_endo`` before it read its images through
-``weyl.dequantize``.  ``evaluate`` is ``Poly.evaluate`` with one ``Ring``
-product per unit of each exponent.  The tests compare the kernels with
-these.
+``weyl.dequantize``, and ``read_central_by_dequantize`` the route after
+that, before it read them off packed keys: each Y_i^p a quantized
+element, its image unpacked, tested by ``weyl.is_central`` and read back
+through ``weyl.dequantize``.  ``evaluate`` is ``Poly.evaluate`` with one
+``Ring`` product per unit of each exponent.  The tests compare the kernels
+with these.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from math import comb
 from canonalg.poisson import PoissonContext
 from canonalg.poly import Exponents, Poly, PolyEndo
 from canonalg.reduction import CenterEndo, CenterReductionError
-from canonalg.weyl import TermKey, WeylElement, WeylEndo, central_monomial, commutator
+from canonalg import weyl
+from canonalg.weyl import TermKey, WeylElement, WeylEndo, central_monomial, commutator, dequantize, quantize
 
 
 def _falling(b: int, k: int) -> int:
@@ -164,6 +168,25 @@ def read_central_by_hand(endo: WeylEndo) -> CenterEndo:
         for power in powers
     ]
     return CenterEndo(PolyEndo(alg.ring, 2 * alg.n, images), endo)
+
+
+def read_central_by_dequantize(endo: WeylEndo) -> CenterEndo:
+    """sigma(Y_i)^p = sigma(Y_i^p), each Y_i^p the quantized X_i^p, each
+    image read back as a polynomial in the X_i = Y_i^p through
+    ``dequantize``, its exponents divided by p."""
+    alg = endo.algebra
+    ring, m = alg.ring, alg.ngens
+    p = ring.characteristic()
+    if p == 0:
+        raise ValueError("center reduction needs prime-field coefficients")
+    powers = endo.apply_each([quantize(alg, Poly.variable(ring, m, i).frobenius()) for i in range(1, m + 1)])
+    images = []
+    for i, power in enumerate(powers, start=1):
+        if not weyl.is_central(power):
+            raise CenterReductionError(f"image {i} has non-central p-th power {power.to_text()}")
+        f = dequantize(power)
+        images.append(f._make({tuple(e // p for e in exps): c for exps, c in f.terms.items()}))
+    return CenterEndo(PolyEndo(ring, m, images), endo)
 
 
 def evaluate(f: Poly, point):

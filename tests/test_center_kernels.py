@@ -2,8 +2,10 @@
 
 ``weyl.is_central`` reads centrality off the exponents, ``poisson_bracket``
 is one term-pair kernel and ``induced_center_endo`` takes sigma(Y_i)^p as
-sigma(Y_i^p) on the image engine; ``product_oracle`` keeps the versions
-that form commutators, products of partials and repeated squares.
+sigma(Y_i^p) on the image engine, read off its packed keys;
+``product_oracle`` keeps the versions that form commutators, products of
+partials and repeated squares, and the element route through
+``weyl.dequantize``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from canonalg.poisson import (  # noqa: E402
     is_symplectic,
     poisson_bracket,
 )
-from canonalg.poly import Poly, PolyEndo  # noqa: E402
-from canonalg.reduction import induced_center_endo  # noqa: E402
+from canonalg.poly import Poly, PolyEndo, _Images  # noqa: E402
+from canonalg.reduction import CenterReductionError, induced_center_endo  # noqa: E402
 from canonalg.rings import GF, QQ, ZZ  # noqa: E402
 from canonalg.weyl import (  # noqa: E402
     WeylAlgebra,
@@ -163,6 +165,52 @@ def test_center_restriction_agrees_at_a_large_prime(seed):
         step = pair_swap(algebra, i) if rng.random() < 0.5 else pair_scaling(algebra, i, rng.randint(1, 10006))
         endo = step.compose(endo)
     assert induced_center_endo(endo).endo == product_oracle.induced_center_endo(endo).endo
+
+
+def same_terms_in_order(got: PolyEndo, want: PolyEndo) -> None:
+    assert [list(im.terms.items()) for im in got.images] == [list(im.terms.items()) for im in want.images]
+
+
+@st.composite
+def center_cases(draw):
+    """Over F2, F3, F5 generated automorphisms and central perturbations,
+    n = 1..3 (degree at most 2 past n = 1); over F10007 swaps and
+    scalings, whose p-th powers stay one term."""
+    ring = draw(st.sampled_from(PRIMES + [GF(10007)]))
+    algebra = WeylAlgebra(ring, draw(st.integers(1, 3)))
+    seed = draw(st.integers(0, 10**6))
+    if ring.p > 5:
+        rng, endo = random.Random(seed), WeylEndo.identity(algebra)
+        for _ in range(3):
+            i = rng.randint(1, algebra.n)
+            unit = rng.randint(1, ring.p - 1)
+            endo = (pair_swap(algebra, i) if rng.random() < 0.5 else pair_scaling(algebra, i, unit)).compose(endo)
+        return endo
+    if draw(st.booleans()):
+        return generate_central_perturbation(algebra, seed)
+    return generate_weyl_automorphism(algebra, seed, 3, 3 if algebra.n == 1 else 2)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(center_cases())
+def test_center_restriction_reads_off_packed_keys_what_dequantize_read(endo):
+    same_terms_in_order(induced_center_endo(endo).endo, product_oracle.read_central_by_dequantize(endo).endo)
+
+
+@pytest.mark.parametrize("ring", PRIMES, ids=str)
+def test_a_non_central_power_raises_the_message_of_the_element_route(ring, monkeypatch):
+    """An engine whose images all gain a term of exponent 1 in the first
+    letter, which no p divides: both routes name the same image and power."""
+    algebra = WeylAlgebra(ring, 2)
+    endo = generate_weyl_automorphism(algebra, 11, 3, 2)
+    image = _Images.image
+    monkeypatch.setattr(_Images, "image", lambda self, key: {**image(self, key), self.units[0]: 1})
+    with pytest.raises(CenterReductionError) as got:
+        induced_center_endo(endo)
+    with pytest.raises(CenterReductionError) as want:
+        product_oracle.read_central_by_dequantize(endo)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("image 1 has non-central p-th power ")
 
 
 def test_center_restriction_refuses_characteristic_zero():

@@ -4,7 +4,9 @@ Columns are appended in batches, as the inverse search appends each degree
 cap's monomial images; after every batch the rank and the solution of every
 right-hand side must equal the dense oracle's on the matrix of the columns
 appended so far, inconsistent right-hand sides included, and the matrix
-read as dense rows must be that matrix.
+read as dense rows must be that matrix.  A right-hand side carries its
+remainder from one solve to the next; every solve must still return what
+a fresh echelon of all the columns so far solves from scratch.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import linalg_oracle as oracle  # noqa: E402
-from canonalg.linalg import SparseMatrix, matrix_rank, solve_many  # noqa: E402
+from canonalg.linalg import ColumnEchelon, SparseMatrix, matrix_rank, solve_many  # noqa: E402
 from canonalg.rings import GF, QQ  # noqa: E402
 
 RINGS = [GF(2), GF(3), GF(5), GF(10007), QQ]
@@ -86,3 +88,53 @@ def test_batches_agree_with_the_dense_oracle_on_every_prefix(system):
             assert x == {i: v for i, v in enumerate(w) if v}
             for v in x.values():
                 assert ring.coerce(v) == v and type(v) is type(ring.zero())
+
+
+LATE, NEVER = ("late", "row"), ("never", "row")  # keys only the last batch, or no column, holds
+
+
+@st.composite
+def carried_systems(draw):
+    """Sparse batches of columns, the last one ending with ``LATE`` alone, and
+    targets: combinations of all the columns, free draws, ``LATE`` alone
+    (solvable from the last batch on) and a draw plus ``NEVER`` (never)."""
+    ring = draw(st.sampled_from(RINGS))
+    n_rows = draw(st.integers(1, 7))
+    column = st.lists(entries(ring), min_size=n_rows, max_size=n_rows).map(sparse)
+    batches = draw(st.lists(st.lists(column, max_size=4), min_size=1, max_size=4))
+    batches[-1].append({LATE: ring.one()})
+    columns = [col for batch in batches for col in batch]
+    targets = []
+    for combo in draw(st.lists(st.lists(entries(ring), min_size=len(columns), max_size=len(columns)), max_size=2)):
+        total: dict = {}
+        for c, col in zip(combo, columns):
+            for k, v in col.items():
+                total[k] = ring.add(total.get(k, ring.zero()), ring.mul(c, v))
+        targets.append({k: v for k, v in total.items() if v})
+    targets += draw(st.lists(column, max_size=2))
+    targets += [{LATE: ring.one()}, {**draw(column), NEVER: ring.one()}]
+    return ring, batches, targets
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(carried_systems())
+def test_carried_remainders_solve_as_a_fresh_echelon_does(system):
+    ring, batches, targets = system
+    matrix, columns = SparseMatrix(), []
+    vectors = [matrix.vector(t) for t in targets]
+    elsewhere = SparseMatrix().vector(targets[0])  # made by another matrix: solved from scratch
+    for number, batch in enumerate(batches, start=1):
+        for col in batch:
+            matrix.append(col)
+            columns.append(col)
+        got = solve_many(ring, matrix, vectors + [elsewhere])
+        fresh = ColumnEchelon(ring)
+        for col in columns:
+            fresh.add(col)
+        want = [fresh.solve(t) for t in targets + [targets[0]]]
+        assert [None if x is None else list(x.items()) for x in got] == [
+            None if x is None else list(x.items()) for x in want
+        ]
+        assert [v.entries for v in vectors] == targets  # the right-hand sides as given, for their readers
+        assert elsewhere.remainder is elsewhere.entries and elsewhere.combo == {}
+        assert (got[-3] is None) == (number < len(batches)) and got[-2] is None

@@ -269,16 +269,16 @@ def test_checked_inverse_matches_the_two_compose_oracle(monkeypatch):
     inverse, a corrupted solution makes both raise."""
     check, outcomes = Endo.checked_inverse, []
 
-    def both(self, basis, solutions, images):
+    def both(self, basis, solutions, images, targets):
         def dense(sols):
             return [None if sol is None else [sol.get(i, 0) for i in range(len(basis))] for sol in sols]
 
-        got = check(self, basis, solutions, images)
+        got = check(self, basis, solutions, images, targets)
         assert got == search_oracle.checked_inverse(self, basis, dense(solutions)), repr(self)
         if got is not None:
             bad = corrupted(solutions, self.ring)
             with pytest.raises(AssertionError, match="internal bug"):
-                check(self, basis, bad, images)
+                check(self, basis, bad, images, targets)
             with pytest.raises((AssertionError, RelationError)):
                 search_oracle.checked_inverse(self, basis, dense(bad))
         outcomes.append(got is not None)
@@ -310,9 +310,9 @@ def test_a_found_inverse_costs_two_engines_and_no_compose(which, monkeypatch):
     class Counting(_Images):
         __slots__ = ()
 
-        def __init__(self, endo, max_degree):
+        def __init__(self, endo, *sizes):
             engines.append(endo)
-            super().__init__(endo, max_degree)
+            super().__init__(endo, *sizes)
 
     def no_compose(self, other):
         raise AssertionError("compose called")
@@ -325,18 +325,25 @@ def test_a_found_inverse_costs_two_engines_and_no_compose(which, monkeypatch):
     assert engines[0] is endo and engines[1] is inverse
 
 
+def checked_maps(which: str):
+    """(module whose ``solve_many`` the search calls, map, search, CLI command,
+    file text); each map's inverse has terms of degree 2."""
+    if which == "weyl":
+        algebra = WeylAlgebra(GF(3), 1)
+        d, x = algebra.generators()
+        text = "ring=F3 kind=weyl n=1\nY1 -> Y1\nY2 -> Y2 + Y1^2\n"
+        return weyl, WeylEndo(algebra, [d, x + d * d]), inverse_search, "invert-weyl", text
+    x1, x2 = Poly.variable(GF(3), 2, 1), Poly.variable(GF(3), 2, 2)
+    endo = PolyEndo(GF(3), 2, [x1 + (x2 * x2).scale(2), x2 + Poly.one(GF(3), 2)])
+    text = "ring=F3 kind=poly m=2\nX1 -> X1 + 2*X2^2\nX2 -> X2 + 1\n"
+    return conjectures, endo, inverse_search_poly, "invert", text
+
+
 @pytest.mark.parametrize("which", ["weyl", "poly"])
 def test_a_corrupted_solution_is_an_internal_bug(which, monkeypatch):
     """A solver fault never reads as a verdict or as ill-formed input: on the
     Weyl side the candidate's relation failure becomes the AssertionError."""
-    if which == "weyl":
-        algebra = WeylAlgebra(GF(3), 1)
-        d, x = algebra.generators()
-        module, endo, search = weyl, WeylEndo(algebra, [d, x + d * d]), inverse_search
-    else:
-        x1, x2 = Poly.variable(GF(3), 2, 1), Poly.variable(GF(3), 2, 2)
-        endo = PolyEndo(GF(3), 2, [x1 + (x2 * x2).scale(2), x2 + Poly.one(GF(3), 2)])
-        module, search = conjectures, inverse_search_poly
+    module, endo, search, _, _ = checked_maps(which)
 
     def corrupting(ring, matrix, rhs):
         solutions = solve_many(ring, matrix, rhs)
@@ -346,3 +353,81 @@ def test_a_corrupted_solution_is_an_internal_bug(which, monkeypatch):
     with pytest.raises(AssertionError, match="internal bug") as info:
         search(endo, 4)
     assert isinstance(info.value.__cause__, RelationError) == (which == "weyl")
+
+
+# Each direction of the two-sided check is live on its own.  With sigma an
+# automorphism, a wrong psi fails both directions, so each test corrupts what
+# one direction reads: the cached basis images that sigma(psi(Y_i)) sums
+# (the matrix columns are those images), or the products of psi's engine,
+# which only psi(sigma(Y_i)) forms.
+
+
+def corrupt_a_used_column(monkeypatch, module) -> None:
+    """``solve_many`` solves correctly, then doubles (over F3) the cached
+    image of the last basis monomial a solution uses, one of degree >= 2."""
+
+    def corrupting(ring, matrix, rhs):
+        solutions = solve_many(ring, matrix, rhs)
+        if None not in solutions:
+            j = max(i for sol in solutions for i in sol)
+            assert j > len(rhs)  # past the constant and the degree-1 columns, which psi(sigma(Y_i)) reads
+            column = matrix.columns[j]
+            for k in column:
+                column[k] = column[k] * 2 % ring.p
+        return solutions
+
+    monkeypatch.setattr(module, "solve_many", corrupting)
+
+
+def corrupt_the_inverses_engine(monkeypatch) -> list:
+    """Every image engine after the first (the search's) doubles its
+    products over F3; only the check's engine of psi is built after it."""
+    engines = []
+
+    class Corrupting(_Images):
+        def __init__(self, endo, *sizes):
+            super().__init__(endo, *sizes)
+            engines.append(self)
+
+        def _times(self, left, right, lowers):
+            out = super()._times(left, right, lowers)
+            return out if self is engines[0] else {k: c * 2 % self.p for k, c in out.items()}
+
+    monkeypatch.setattr(poly, "_Images", Corrupting)
+    return engines
+
+
+@pytest.mark.parametrize("which", ["weyl", "poly"])
+def test_each_direction_of_the_check_is_live(which, monkeypatch):
+    module, endo, search, _, _ = checked_maps(which)
+    inverse, cap = search(endo, 4)
+    assert inverse is not None and cap == 2
+    with monkeypatch.context() as patch:
+        corrupt_a_used_column(patch, module)
+        with pytest.raises(AssertionError, match="one-sided inverse failed the two-sided check"):
+            search(endo, 4)
+    engines = corrupt_the_inverses_engine(monkeypatch)
+    with pytest.raises(AssertionError, match="one-sided inverse failed the two-sided check"):
+        search(endo, 4)
+    assert len(engines) == 2 and engines[1].width == engines[0].width
+
+
+@pytest.mark.parametrize("direction", ["sigma-psi", "psi-sigma"])
+@pytest.mark.parametrize("which", ["weyl", "poly"])
+def test_each_direction_of_the_check_exits_3_from_the_cli(which, direction, tmp_path, monkeypatch, capsys):
+    from canonalg.cli import main
+
+    module, _, _, command, text = checked_maps(which)
+    path = tmp_path / "map.endo"
+    path.write_text(text)
+    assert main([command, "--input", str(path)]) == 0
+    capsys.readouterr()
+    if direction == "sigma-psi":
+        corrupt_a_used_column(monkeypatch, module)
+    else:
+        corrupt_the_inverses_engine(monkeypatch)
+    out = tmp_path / "r.json"
+    assert main([command, "--input", str(path), "--json", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["internal error: AssertionError: one-sided inverse failed the two-sided check (internal bug)"]
+    assert not out.exists()
