@@ -17,6 +17,7 @@ and the inverse search, on the packed-key monomial images of
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from operator import add, lshift, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -411,17 +412,15 @@ class _Images:
         Asked for the degrees in order, as the search does, every monomial of
         degree - 1 is cached, so each image is one product: its prefix's
         image times its last letter's image.  :meth:`image` walks the chain
-        for any other key.
+        for any other key.  The keys come from :func:`_graded_plan`, which
+        depends on the degree, the letter count and the width only.
         """
-        cache = self.cache
+        cache, times, letters = self.cache, self._times, self.letters
         if not degree:
-            return [((0,) * len(self.units), cache[0])]
-        pack, times, width, units, letters = self.pack, self._times, self.width, self.units, self.letters
+            return [((0,) * len(letters), cache[0])]
         out = []
-        for b in compositions(degree, len(units)):
-            key = pack(b)
-            j = (key.bit_length() - 1) // width
-            cache[key] = image = times(cache[key - units[j]], *letters[j])
+        for b, key, prefix, j in _graded_plan(degree, len(letters), self.width):
+            cache[key] = image = times(cache[prefix], *letters[j])
             out.append((b, image))
         return out
 
@@ -432,10 +431,27 @@ class _Images:
         of the element product.  Where a right term's position exponent b
         meets a left derivation exponent a, the Leibniz weights of (a, b)
         expand the term, lowering both exponents by l; a letter with no
-        such term (``lowers`` false) only adds keys.
+        such term (``lowers`` false) only adds keys.  Over F_p such a
+        product reduces each sum as it lands (a new key takes c1*c2 mod p,
+        a repeated one the sum with it mod p); a key that cancels keeps its
+        place as 0 and one filtering pass, run only then, drops it, so the
+        keys keep the element product's order.  The other products sum
+        first and reduce once per key.
         """
         p, mask, weights = self.p, self.mask, self.weights
         out: dict = {}
+        if not lowers and p:
+            cancelled = False
+            for k1, c1 in left.items():
+                for k2, c2, _ in right:
+                    key = k1 + k2
+                    if key in out:
+                        out[key] = c = (out[key] + c1 * c2) % p
+                        if not c:
+                            cancelled = True
+                    else:
+                        out[key] = c1 * c2 % p
+            return {k: c for k, c in out.items() if c} if cancelled else out
         get = out.get
         if not lowers:
             for k1, c1 in left.items():
@@ -458,6 +474,21 @@ class _Images:
                         for k, cw in expansion:
                             out[k] = get(k, 0) + cw
         return _reduced(out, p)
+
+
+@lru_cache(maxsize=256)  # keyed on no map data: every engine with this letter count and width shares it
+def _graded_plan(degree: int, letters: int, width: int) -> tuple:
+    """``(exponents, packed key, prefix key, last letter)`` of each monomial
+    of total degree ``degree`` >= 1 in ``letters`` letters, in graded order,
+    keys packed ``width`` bits a letter as :class:`_Images` packs them; the
+    prefix is the monomial without one unit of its last letter."""
+    shifts = [width * k for k in range(letters)]
+    plan = []
+    for b in compositions(degree, letters):
+        key = sum(map(lshift, b, shifts))
+        j = (key.bit_length() - 1) // width
+        plan.append((b, key, key - (1 << shifts[j]), j))
+    return tuple(plan)
 
 
 def _reduced(sums: dict, p: int) -> dict:

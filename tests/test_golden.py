@@ -49,6 +49,8 @@ CASES = {
     "invert-weyl-Q": (["invert-weyl", "--input", _input("weyl-Q")], 0),
     "invert-weyl-F5-n2": (["invert-weyl", "--input", _input("weyl-F5-n2")], 0),
     "invert-weyl-pert-F5": (["invert-weyl", "--input", _input("weyl-pert-F5")], 0),
+    "invert-weyl-pert-F2-n2": (["invert-weyl", "--input", _input("weyl-pert-F2-n2")], 0),
+    "invert-weyl-yes-F2-n2": (["invert-weyl", "--input", _input("weyl-yes-F2-n2")], 0),
     "check-instance-CJC-F3": (["check-instance", "--tag", "CJC", "--input", _input("poly-F3")], 0),
     "check-instance-CJC-deficit-F3": (
         ["check-instance", "--tag", "CJC", "--input", _input("poly-deficit-F3")],
@@ -72,6 +74,7 @@ CASES = {
     "suite": (["suite", "--p-max", "200", "--seed", "3"], 0),
     "probe-chain-F5-n2": (["probe-chain", "--input", _input("weyl-F5-n2")], 0),
     "probe-chain-pert-F5": (["probe-chain", "--input", _input("weyl-pert-F5")], 0),
+    "probe-chain-pert-F2-n2": (["probe-chain", "--input", _input("weyl-pert-F2-n2")], 0),
 }
 
 
