@@ -258,12 +258,12 @@ def parse_endo_file(text: str) -> EndoFile:
         n = int(fields["n"])
         nvars = 2 * n
 
-    names = default_names(nvars, "Y" if kind == "weyl" else "X")
     body = lines[1:]
-    if len(body) != nvars:
+    if len(body) != nvars:  # before any per-generator work, which a header's count alone would size
         raise ParseError(
             f"expected {nvars} image lines for kind={kind}, found {len(body)}", header_no, 1
         )
+    names = default_names(nvars, "Y" if kind == "weyl" else "X")
     if kind == "weyl":
         algebra = WeylAlgebra(ring, n)
         gens, one = algebra.generators(), algebra.one()

@@ -21,7 +21,6 @@ from functools import partial
 from operator import add
 
 from .poly import Poly, PolyEndo, PolyMatrix, compose_random_steps, pairing_witness, random_block_poly, random_unit
-from .poly import reduce_sums
 from .rings import Ring
 
 
@@ -47,7 +46,7 @@ def poisson_bracket(ctx: PoissonContext, f: Poly, g: Poly) -> Poly:
     For terms c X^a of f and b X^e of g the pair-i part of the sum is
     c b (a_i e_{i+n} - a_{i+n} e_i) X^(a + e - 1_i - 1_{i+n}): both products
     of partials land on the same monomial, so one weight per pair and pair
-    index, summed as plain ints or ``Fraction`` and reduced once.
+    index, summed as plain ints or ``Fraction`` and reduced once by ``_make``.
     """
     if f.nvars != ctx.nvars or g.nvars != ctx.nvars or f.ring != ctx.ring or g.ring != ctx.ring:
         raise ValueError("bracket operands must live in 2n variables over the context ring")
@@ -66,7 +65,7 @@ def poisson_bracket(ctx: PoissonContext, f: Poly, g: Poly) -> Poly:
                     key[i + n] -= 1
                     key = tuple(key)
                     out[key] = get(key, 0) + c1 * c2 * w
-    return f._make(reduce_sums(ctx.ring, out))
+    return f._make(out)
 
 
 def bracket_matrix(ctx: PoissonContext, endo: PolyEndo) -> PolyMatrix:

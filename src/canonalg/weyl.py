@@ -51,7 +51,7 @@ from typing import Iterable, Sequence
 from . import poisson
 from .linalg import SparseMatrix, matrix_rank, solve_many
 from .poly import Endo, Poly, PolyEndo, Terms, compose_random_steps, default_names, monomials_upto, pairing_witness
-from .poly import random_block_poly, random_unit, reduce_sums
+from .poly import _reduced, random_block_poly, random_unit
 from .rings import Ring
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -120,7 +120,7 @@ class WeylElement(Terms):
     def _make(self, terms: dict) -> "WeylElement":
         out = object.__new__(WeylElement)
         out.algebra = self.algebra
-        out.terms = {key: c for key, c in terms.items() if c}
+        out.terms = _reduced(terms, self.algebra.ring.p)
         return out
 
     @property
@@ -156,8 +156,8 @@ class WeylElement(Terms):
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         """Normal-ordered product via the operator Leibniz rule (see module doc).
 
-        Sums accumulate as plain ints or ``Fraction`` and are reduced once
-        per key; weights that vanish mod p are never expanded.
+        Sums accumulate as plain ints or ``Fraction`` and ``_make`` reduces
+        them once per key; weights that vanish mod p are never expanded.
         """
         self._check(other)
         p = self.algebra.ring.p
@@ -187,7 +187,7 @@ class WeylElement(Terms):
                     ]
                 for key, cw in expansion:
                     out[key] = get(key, 0) + cw
-        return self._make(reduce_sums(self.ring, out))
+        return self._make(out)
 
 
 @lru_cache(maxsize=1 << 16)

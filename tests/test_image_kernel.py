@@ -2,7 +2,8 @@
 
 Over F_p, a product by a letter image with no lowering term reduces each
 sum as it lands; it must equal the two-pass form (sum every pair, then
-``_reduced``) in keys, values and dict order.  ``_graded_plan`` gives each
+``_reduced``) in keys, values and dict order.  Over Q and Z the same
+product runs the general loop, which must equal the two-pass form too.  ``_graded_plan`` gives each
 degree's exponents, packed keys, prefix keys and last letters; it must equal
 ``compositions`` packed at the engine's width, and the searches that read it
 at two widths in one process must both give the tuple chain's columns.
@@ -10,13 +11,15 @@ at two widths in one process must both give the tuple chain's columns.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from canonalg.poly import PolyEndo, _graded_plan, _Images, _reduced, compositions  # noqa: E402
-from canonalg.rings import GF  # noqa: E402
+from canonalg.rings import GF, QQ, ZZ  # noqa: E402
 from canonalg.weyl import WeylAlgebra, generate_central_perturbation  # noqa: E402
 from test_search import search_columns_match_the_oracle  # noqa: E402
 
@@ -77,6 +80,39 @@ def test_a_single_term_letter_shifts_and_scales(p):
     left = {7: 1, 0: p - 1}
     got = assert_as_two_pass(p, left, [(3, p - 1)])
     assert list(got.items()) == [(k + 3, c * (p - 1) % p) for k, c in left.items()]
+
+
+@st.composite
+def rational_products(draw):
+    """Q or Z, a packed left dict and a letter's terms, signed so that sums cancel."""
+    ring = draw(st.sampled_from([QQ, ZZ]))
+    values = st.integers(-3, 3).filter(bool)
+    if ring is QQ:
+        values = st.builds(Fraction, values, st.integers(1, 3))
+    left = draw(st.dictionaries(st.integers(0, 12), values, max_size=10))
+    right = draw(st.lists(st.tuples(st.integers(0, 6), values), min_size=1, max_size=4))
+    return ring, left, right
+
+
+def assert_general_loop_as_two_pass(ring, left: dict, right: list) -> dict:
+    got = _Images(PolyEndo.identity(ring, 1), 1)._times(left, [(k, c, []) for k, c in right], False)
+    assert list(got.items()) == list(two_pass(0, left, right).items())
+    assert all(type(c) is (Fraction if ring is QQ else int) and c for c in got.values())
+    return got
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(rational_products())
+def test_q_and_z_letters_with_no_lowering_term_equal_the_two_pass_product(case):
+    assert_general_loop_as_two_pass(*case)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ], ids=str)
+def test_q_and_z_keys_that_cancel_are_dropped_in_place(ring):
+    # (1 - x + x^2)(1 + x): x and x^2 cancel, x^3 lands last
+    one = ring.one()
+    got = assert_general_loop_as_two_pass(ring, {0: one, 1: -one, 2: one}, [(0, one), (1, one)])
+    assert list(got.items()) == [(0, one), (3, one)]
 
 
 @pytest.mark.parametrize("width", [4, 5, 8, 13])

@@ -1,16 +1,17 @@
 """Input limits that keep one call bounded: the prime-field modulus, the
 one-variable extension degree (read off the degree, no point evaluated), the
-Weyl degree over Q or Z, the center-slice commutators and the shared monomial
-budget."""
+Weyl degree over Q or Z, the center-slice commutators, the shared monomial
+budget, an endo header's generator count and the determinant's work."""
 
 from __future__ import annotations
 
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
-from canonalg import cli
+from canonalg import cli, parsing, poly
 from canonalg.cli import main
 from canonalg.conjectures import (
     FIBER_POINT_BUDGET,
@@ -22,10 +23,11 @@ from canonalg.conjectures import (
     extension_degree_estimate,
 )
 from canonalg.parsing import WEYL_DEGREE_LIMIT, ParseError, parse_endo_file
-from canonalg.poly import Poly, PolyEndo
+from canonalg.poly import DET_WORK_BUDGET, Poly, PolyEndo, PolyMatrix
 from canonalg.rings import GF, MODULUS_LIMIT, is_prime, ring_from_text
 
 LARGEST_PRIME_BELOW_LIMIT = 2**40 - 87
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _write(tmp_path, name: str, text: str) -> str:
@@ -219,3 +221,75 @@ def test_one_monomial_budget():
     for entry in (check_instance, chain_probe):
         assert "monomial_cap" not in inspect.signature(entry).parameters
     assert not hasattr(cli, "_MONOMIAL_CAP")
+
+
+# -- an endo header's generator count -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "header, command",
+    [(f"ring=F2 kind=poly m={10**15}", "invert"), (f"ring=F2 kind=weyl n={10**15}", "check-weyl-endo")],
+    ids=["poly-m", "weyl-n"],
+)
+def test_a_huge_header_count_is_refused_before_any_name_is_made(header, command, monkeypatch, tmp_path, capsys):
+    default_names = parsing.default_names
+
+    def names(nvars, letter="X"):  # fails at once where the header's count alone would size the list
+        assert nvars < 10**6, f"default_names({nvars}) called before the lines were counted"
+        return default_names(nvars, letter)
+
+    monkeypatch.setattr(parsing, "default_names", names)
+    count = 10**15 * (1 if "poly" in header else 2)
+    text = f"{header}\nY1 -> Y1\n"
+    with pytest.raises(ParseError, match=f"expected {count} image lines for kind=\\w+, found 1"):
+        parse_endo_file(text)
+    assert main([command, "--input", _write(tmp_path, "huge.endo", text)]) == 2
+    assert f"expected {count} image lines" in capsys.readouterr().err
+
+
+# -- the determinant's work -------------------------------------------------------------------
+
+
+def _dense_jacobian_map(m: int) -> str:
+    """Each image X1 + ... + Xm + Xi^2 over F3: every jacobian entry is nonzero."""
+    total = " + ".join(f"X{i}" for i in range(1, m + 1))
+    return f"ring=F3 kind=poly m={m}\n" + "".join(f"X{i} -> {total} + X{i}^2\n" for i in range(1, m + 1))
+
+
+def test_determinant_work_budget_boundary(monkeypatch):
+    # each of the two 1x1 minors costs one unit plus its entry's terms times the minor's terms
+    ring = GF(5)
+    x1, x2 = Poly.variable(ring, 2, 1), Poly.variable(ring, 2, 2)
+    a, b, c, d = x1 + x2, x1, x2, x1 + x2 + Poly.one(ring, 2)
+    matrix = PolyMatrix(ring, 2, [[a, b], [c, d]])
+    work = (1 + 2 * 3) + (1 + 1 * 1)
+    monkeypatch.setattr(poly, "DET_WORK_BUDGET", work)
+    assert matrix.determinant() == a * d - b * c
+    monkeypatch.setattr(poly, "DET_WORK_BUDGET", work - 1)
+    with pytest.raises(ValueError, match=f"determinant of a 2x2 matrix exceeds the budget of {work - 1}"):
+        matrix.determinant()
+
+
+def test_dense_jacobian_of_size_8_keeps_its_report_and_size_10_exits_2(tmp_path, capsys):
+    assert DET_WORK_BUDGET == 300_000
+    out = tmp_path / "r.json"
+    dense8 = GOLDEN / "inputs" / "poly-dense8-F3.endo"
+    assert dense8.read_text() == _dense_jacobian_map(8)
+    assert main(["check-instance", "--tag", "CJC", "--input", str(dense8), "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "check-instance-CJC-dense8-F3.json").read_bytes()
+    capsys.readouterr()
+    dense10 = _write(tmp_path, "dense10.endo", _dense_jacobian_map(10))
+    assert main(["check-instance", "--tag", "CJC", "--input", dense10]) == 2
+    assert capsys.readouterr().err == (
+        "error: the determinant of a 10x10 matrix exceeds the budget of 300000 minors and term pairs\n"
+    )
+
+
+def test_sparse_jacobians_of_size_12_still_answer(tmp_path):
+    identity = "ring=F3 kind=poly m=12\n" + "".join(f"X{i} -> X{i}\n" for i in range(1, 13))
+    assert main(["check-instance", "--tag", "CJC", "--input", _write(tmp_path, "id12.endo", identity)]) == 0
+    triangular = PolyEndo(
+        GF(3), 12, [Poly.variable(GF(3), 12, i) + Poly.variable(GF(3), 12, i + 1) ** 2 for i in range(1, 12)]
+        + [Poly.variable(GF(3), 12, 12)]
+    )
+    assert triangular.jacobian().determinant() == Poly.one(GF(3), 12)
