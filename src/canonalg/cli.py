@@ -35,7 +35,7 @@ from .parsing import EndoFile, ParseError, parse_endo_file
 from .poly import default_names, monomial_count
 from .poisson import PoissonContext, check_symplectic
 from .reduction import center_degree_report, check_center_symplectic
-from .report import build_report, dump_report, input_digest
+from .report import build_report, dump_report, input_digest, record_fields
 from .rings import NonUnitError, ring_from_text
 from .weyl import (
     RelationError,
@@ -131,17 +131,9 @@ def _run_check_symplectic(args):
     ef, digest = _read(args, "poisson")
     ctx = PoissonContext(ef.ring, ef.n)
     rec = check_symplectic(ctx, ef.poly_endo())
-    payload = {
-        "ring": str(ef.ring),
-        "n": ef.n,
-        "symplectic": rec.symplectic,
-        "n_factorial_unit": rec.n_factorial_unit,
-        "det": rec.det.to_text(ef.names()),
-        "det_is_one": rec.det_is_one,
-        "assertion_violated": rec.assertion_violated,
-    }
-    code = 1 if rec.assertion_violated else 0
-    return code, payload, digest
+    payload = {"ring": str(ef.ring), "n": ef.n, **record_fields(rec), "det": rec.det.to_text(ef.names())}
+    payload["assertion_violated"] = rec.assertion_violated
+    return (1 if rec.assertion_violated else 0), payload, digest
 
 
 def _run_check_weyl_endo(args):
@@ -226,14 +218,7 @@ def _run_center_slice(args):
     if work > 16 * MONOMIAL_BUDGET:
         raise ValueError(f"--n {args.n} needs {work} commutator exponents, over the budget of {16 * MONOMIAL_BUDGET}")
     rec = center_slice_check(algebra, args.degree_cap)
-    payload = {
-        "ring": str(ring),
-        "n": args.n,
-        "degree_cap": rec.degree_cap,
-        "dimension_found": rec.dimension_found,
-        "dimension_expected": rec.dimension_expected,
-        "match": rec.match,
-    }
+    payload = {"ring": str(ring), "n": args.n, **record_fields(rec)}
     digest = input_digest(f"center-slice ring={ring} n={args.n} D={args.degree_cap}")
     return (0 if rec.match else 1), payload, digest
 

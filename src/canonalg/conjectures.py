@@ -23,6 +23,7 @@ from .linalg import solve_many
 from .poly import Poly, PolyEndo, monomial_count
 from .poisson import PoissonContext, is_symplectic
 from .reduction import induced_center_endo, check_center_symplectic
+from .report import record_fields
 from .rings import GF, Ring, primes_upto
 from .weyl import WeylEndo
 
@@ -166,19 +167,9 @@ class InstanceVerdict:
     witnesses: list = field(default_factory=list)
 
     def to_payload(self) -> dict:
-        return {
-            "tag": self.tag,
-            "params": {"n": self.n, "p": self.p, "d": self.d},
-            "automorphism": self.automorphism,
-            "inverse_degree": self.inverse_degree,
-            "certified_bound": self.certified_bound,
-            "searched_degree": self.searched_degree,
-            "flags": dict(self.flags),
-            "hypothesis_holds": self.hypothesis_holds,
-            "biconditional_holds": self.biconditional_holds,
-            "estimated": self.estimated,
-            "witnesses": list(self.witnesses),
-        }
+        payload = record_fields(self)
+        params = {key: payload.pop(key) for key in ("n", "p", "d")}
+        return {"tag": payload.pop("tag"), "params": params, **payload}
 
 
 def _and3(parts: list) -> bool | None:
@@ -309,13 +300,10 @@ class ChainProbeReport:
         return not self.events
 
     def to_payload(self) -> dict:
-        return {
-            "weyl_status": self.weyl_status,
-            "center_status": self.center_status,
-            "center_symplectic": self.center_symplectic,
-            "consistent": self.consistent,
-            "events": list(self.events),
-        }
+        """The fields in order, ``consistent`` ahead of ``events`` (the summary lines keep this order)."""
+        payload = record_fields(self)
+        events = payload.pop("events")
+        return {**payload, "consistent": self.consistent, "events": events}
 
 
 def chain_probe(endo: WeylEndo) -> ChainProbeReport:
@@ -353,12 +341,8 @@ class KrausReport:
     factorizations: dict  # prime -> (factor text, factor text)
 
     def to_payload(self) -> dict:
-        return {
-            "p_max": self.p_max,
-            "z_irreducible": self.z_irreducible,
-            "all_reducible": self.all_reducible,
-            "factorizations": {str(p): list(f) for p, f in sorted(self.factorizations.items())},
-        }
+        factorizations = {str(p): list(f) for p, f in sorted(self.factorizations.items())}
+        return {**record_fields(self), "factorizations": factorizations}
 
 
 def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -446,11 +430,7 @@ class SuiteReport:
     all_expected: bool
 
     def to_payload(self) -> dict:
-        return {
-            "cases": [dict(c) for c in self.cases],
-            "kraus": self.kraus.to_payload(),
-            "all_expected": self.all_expected,
-        }
+        return {**record_fields(self), "kraus": self.kraus.to_payload()}
 
 
 def frobenius_deficit_poly(ring: Ring, nvars: int) -> PolyEndo:

@@ -26,7 +26,8 @@ An endomorphism file is a ``key=value`` header line followed by one
     Y2 -> Y2 + Y1^2
 
 Header keys: ``ring`` (Z, Q, F<p> or Fp(<p>)), ``kind`` (poly, poisson,
-weyl), and ``m`` (variable count, kind poly) or ``n`` (index, other kinds).
+weyl), and ``m`` (variable count, kind poly) or ``n`` (index, other kinds);
+m or 2n may not pass ``GENERATOR_LIMIT``.
 """
 
 from __future__ import annotations
@@ -92,6 +93,10 @@ TERM_PAIR_BUDGET = 100_000
 # M = 20,000 over a gigabyte.  Over F_p the weights stop at l = p - 1, and
 # polynomial products have none.
 WEYL_DEGREE_LIMIT = 1000
+
+# The most generators (m, or 2n) a file may define.  Pair checks grow as their
+# cube: on identity maps over F3 every command answers in about 2 s at 200.
+GENERATOR_LIMIT = 200
 
 
 def _product(a, b):
@@ -263,6 +268,8 @@ def parse_endo_file(text: str) -> EndoFile:
         raise ParseError(
             f"expected {nvars} image lines for kind={kind}, found {len(body)}", header_no, 1
         )
+    if nvars > GENERATOR_LIMIT:
+        raise ParseError(f"{nvars} generators exceed the limit of {GENERATOR_LIMIT}", header_no, 1)
     names = default_names(nvars, "Y" if kind == "weyl" else "X")
     if kind == "weyl":
         algebra = WeylAlgebra(ring, n)

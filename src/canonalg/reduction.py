@@ -6,20 +6,28 @@ verified endomorphism restricts to a polynomial endomorphism of those 2n
 commutative variables.  The restriction is computed from the definition,
 on the endomorphism's packed-key monomial-image engine
 (:class:`canonalg.poly._Images`): the p-th power of each image is the image
-of the monomial Y_i^p, whose packed key is p units in Y_i's letter, built
-one letter at a time.  Its packed keys are read straight into exponents of
-the X_i (:func:`weyl.swap_blocks` orders the engine's fields), each checked
-to be divisible by p (the power is central) and divided by p; no Weyl
-element is formed.  A failed check is an internal error, not data.
+of the monomial Y_i^p, whose packed key is p units in Y_i's letter, built one
+letter at a time, each power replacing the last, under ``CENTER_WORK_BUDGET``.
+Its packed keys are read straight into exponents of the X_i
+(:func:`weyl.swap_blocks` orders the engine's fields), each checked to be
+divisible by p (the power is central) and divided by p; no Weyl element is
+formed.  A failed check is an internal error, not data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .poisson import PoissonContext, is_symplectic
 from .poly import Poly, PolyEndo, _Images
 from .weyl import WeylEndo, swap_blocks
+
+
+# Terms the p products per generator of one restriction may form, bounded before
+# each product: a term pair forms one term, times min(b, p - 1) + 1 (its Leibniz
+# expansion) for each position exponent b of the right term that lowers a letter.
+CENTER_WORK_BUDGET = 4_500_000
 
 
 class CenterReductionError(AssertionError):
@@ -62,7 +70,17 @@ def induced_center_endo(endo: WeylEndo) -> CenterEndo:
     mask, shifts = images.mask, swap_blocks(images.shifts)
     zero = Poly.zero(ring, m)
     out = []
+    work = 0
     for i, shift in enumerate(shifts, start=1):
+        right, lowers = images.letters[shift // images.width]
+        formed = sum(prod([min(b, p - 1) + 1 for _, b, _ in lows]) for _, _, lows in right)
+        power = images.cache[0]
+        for _ in range(p):
+            work += len(power) * formed
+            if work > CENTER_WORK_BUDGET:
+                raise ValueError(f"the center restriction over F{p} exceeds the budget of {CENTER_WORK_BUDGET} terms")
+            power = images._times(power, right, lowers)
+        images.cache[p << shift] = power  # only the p-th power is kept; image() reads it back
         power = images.image(p << shift)
         terms = {}
         for key, c in power.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from importlib import resources
 
 SCHEMA_VERSION = 1
@@ -22,6 +23,11 @@ def tool_version() -> str:
     from . import __version__
 
     return __version__
+
+
+def record_fields(record) -> dict:
+    """A dataclass record's fields by name, in order: ``dataclasses.asdict`` without its deep copy of every value."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def input_digest(data: bytes | str) -> str:

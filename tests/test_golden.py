@@ -8,12 +8,15 @@ After an intended change of output, regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff.
+and review the diff.  ``summary.txt`` holds what ``main()`` prints for each
+case, in sorted order, each case's lines after a ``# <case>`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import random
 import sys
 from pathlib import Path
@@ -93,6 +96,17 @@ def generator_lines() -> list[str]:
     return lines
 
 
+def summary_text() -> str:
+    """What ``main()`` prints for every case, sorted; the summary lines show
+    the payload's keys in their insertion order."""
+    out = io.StringIO()
+    for case in sorted(CASES):
+        out.write(f"# {case}\n")
+        with contextlib.redirect_stdout(out):
+            main(CASES[case][0])
+    return out.getvalue()
+
+
 def _run(case: str, out: Path) -> int:
     argv, _ = CASES[case]
     return main(argv + ["--json", str(out)])
@@ -166,6 +180,10 @@ def test_main_builds_the_parser_once(monkeypatch, tmp_path):
     assert builds == ["canonalg"]
 
 
+def test_summary_lines_match_golden():
+    assert summary_text() == (GOLDEN / "summary.txt").read_text(encoding="utf-8")
+
+
 def test_generators_match_golden():
     text = "\n".join(generator_lines()) + "\n"
     assert text == (GOLDEN / "generators.txt").read_text(encoding="utf-8")
@@ -176,3 +194,4 @@ if __name__ == "__main__":
         code = _run(name, GOLDEN / f"{name}.json")
         print(f"{name}: exit {code}", file=sys.stderr)
     (GOLDEN / "generators.txt").write_text("\n".join(generator_lines()) + "\n", encoding="utf-8")
+    (GOLDEN / "summary.txt").write_text(summary_text(), encoding="utf-8")

@@ -1,7 +1,8 @@
 """Input limits that keep one call bounded: the prime-field modulus, the
 one-variable extension degree (read off the degree, no point evaluated), the
 Weyl degree over Q or Z, the center-slice commutators, the shared monomial
-budget, an endo header's generator count and the determinant's work."""
+budget, an endo header's generator count, the determinant's work and the
+center restriction's work."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from canonalg import cli, parsing, poly
+from canonalg import cli, parsing, poly, reduction
 from canonalg.cli import main
 from canonalg.conjectures import (
     FIBER_POINT_BUDGET,
@@ -22,9 +23,11 @@ from canonalg.conjectures import (
     decide_weyl_automorphism,
     extension_degree_estimate,
 )
-from canonalg.parsing import WEYL_DEGREE_LIMIT, ParseError, parse_endo_file
-from canonalg.poly import DET_WORK_BUDGET, Poly, PolyEndo, PolyMatrix
+from canonalg.parsing import GENERATOR_LIMIT, WEYL_DEGREE_LIMIT, ParseError, parse_endo_file
+from canonalg.poly import DET_WORK_BUDGET, Poly, PolyEndo, PolyMatrix, _Images
+from canonalg.reduction import CENTER_WORK_BUDGET, induced_center_endo
 from canonalg.rings import GF, MODULUS_LIMIT, is_prime, ring_from_text
+from canonalg.weyl import WeylAlgebra, WeylEndo, generate_weyl_automorphism
 
 LARGEST_PRIME_BELOW_LIMIT = 2**40 - 87
 GOLDEN = Path(__file__).parent / "golden"
@@ -247,6 +250,21 @@ def test_a_huge_header_count_is_refused_before_any_name_is_made(header, command,
     assert f"expected {count} image lines" in capsys.readouterr().err
 
 
+def _identity_file(kind: str, count: int) -> str:
+    size, letter = (f"m={count}", "X") if kind == "poly" else (f"n={count // 2}", "Y")
+    return f"ring=F3 kind={kind} {size}\n" + "".join(f"{letter}{i} -> {letter}{i}\n" for i in range(1, count + 1))
+
+
+@pytest.mark.parametrize("kind, command, past", [("poly", "invert", 201), ("weyl", "check-weyl-endo", 202)])
+def test_generator_limit_boundary(kind, command, past, tmp_path, capsys):
+    # pair checks grow as the cube of the count; the identity at the limit answers in about a second
+    assert GENERATOR_LIMIT == 200
+    assert main([command, "--input", _write(tmp_path, "at.endo", _identity_file(kind, 200))]) == 0
+    capsys.readouterr()
+    assert main([command, "--input", _write(tmp_path, "past.endo", _identity_file(kind, past))]) == 2
+    assert capsys.readouterr().err == f"error: line 1, col 1: {past} generators exceed the limit of 200\n"
+
+
 # -- the determinant's work -------------------------------------------------------------------
 
 
@@ -293,3 +311,50 @@ def test_sparse_jacobians_of_size_12_still_answer(tmp_path):
         + [Poly.variable(GF(3), 12, 12)]
     )
     assert triangular.jacobian().determinant() == Poly.one(GF(3), 12)
+
+
+# -- the center restriction's work ----------------------------------------------------------
+
+
+def test_center_work_budget_boundary(monkeypatch):
+    # before each product by sigma(Y_i), each left term counts the terms it can form with the
+    # image's terms: one with Y1, min(2, p - 1) + 1 = 3 with Y2^2 (its Leibniz expansion), 2 with Y2
+    ef = parse_endo_file("ring=F5 kind=weyl n=1\nY1 -> Y1 + Y2^2\nY2 -> Y2\n")
+    endo = WeylEndo(ef.weyl_algebra(), list(ef.images))
+    one = endo.algebra.one()
+    powers = [[image**k if k else one for k in range(5)] for image in endo.images]
+    work = 4 * sum(len(f.terms) for f in powers[0]) + 2 * sum(len(f.terms) for f in powers[1])
+    expected = induced_center_endo(endo).endo
+    monkeypatch.setattr(reduction, "CENTER_WORK_BUDGET", work)
+    assert induced_center_endo(endo).endo == expected
+    monkeypatch.setattr(reduction, "CENTER_WORK_BUDGET", work - 1)
+    with pytest.raises(ValueError, match=f"^the center restriction over F5 exceeds the budget of {work - 1} terms$"):
+        induced_center_endo(endo)
+
+
+def test_the_restriction_caches_no_power_below_the_p_th(monkeypatch):
+    endo = generate_weyl_automorphism(WeylAlgebra(GF(7), 2), 11, 3, 2)
+    image = _Images.image
+    calls = []
+    monkeypatch.setattr(_Images, "image", lambda self, key: calls.append((key, set(self.cache))) or image(self, key))
+    induced_center_endo(endo)
+    read = [key for key, _ in calls]
+    assert len(set(read)) == 4 and 0 not in read
+    # when sigma(Y_i)^p is read, the engine holds 1 and the p-th powers up to it, nothing else
+    assert [cached for _, cached in calls] == [{0, *read[: i + 1]} for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reduce"], ["probe-chain"], ["check-instance", "--tag", "CDC"], ["check-instance", "--tag", "NDC"]],
+    ids=lambda argv: argv[-1],
+)
+def test_a_restriction_over_the_budget_exits_2_and_one_within_it_answers(argv, tmp_path, capsys):
+    assert CENTER_WORK_BUDGET == 4_500_000
+    # over F101, Y1 -> Y1 + Y2^2 counts about 470,000 terms; Y2^500 over F1009 counts 501 a left term
+    within = _write(tmp_path, "within.endo", "ring=F101 kind=weyl n=1\nY1 -> Y1 + Y2^2\nY2 -> Y2\n")
+    assert main([*argv, "--input", within]) == 0
+    capsys.readouterr()
+    past = _write(tmp_path, "past.endo", "ring=F1009 kind=weyl n=1\nY1 -> Y1 + Y2^500\nY2 -> Y2\n")
+    assert main([*argv, "--input", past]) == 2
+    assert capsys.readouterr().err == "error: the center restriction over F1009 exceeds the budget of 4500000 terms\n"
