@@ -27,8 +27,6 @@ from .conjectures import (
     counterexample_suite,
     decide_poly_automorphism,
     decide_weyl_automorphism,
-    gabber_degree_bound,
-    inverse_search_poly,
     kraus_check,
 )
 from .parsing import EndoFile, ParseError, parse_endo_file
@@ -42,8 +40,6 @@ from .weyl import (
     WeylAlgebra,
     WeylEndo,
     center_slice_check,
-    inverse_degree_bound,
-    inverse_search,
     verify_endo_relations,
 )
 
@@ -177,26 +173,21 @@ def _run_reduce(args):
 def _run_invert(args):
     if args.command == "invert-weyl":
         ef, digest = _read(args, "weyl")
-        endo = _weyl_endo(ef)
-        bound, search, decide = inverse_degree_bound(endo), inverse_search, decide_weyl_automorphism
+        endo, decide = _weyl_endo(ef), decide_weyl_automorphism
     else:
         ef, digest = _read(args, "poly", "poisson")
-        endo = ef.poly_endo()
-        bound, search, decide = gabber_degree_bound(endo), inverse_search_poly, decide_poly_automorphism
+        endo, decide = ef.poly_endo(), decide_poly_automorphism
     if args.degree_cap is not None:
         _check_degree_cap(args.degree_cap, len(endo.images))
-        inverse, found = search(endo, args.degree_cap)
-        searched = args.degree_cap
-    else:
-        decision = decide(endo)
-        inverse, found, searched = decision.inverse, decision.found_degree, decision.searched_degree
+    decision = decide(endo, degree_cap=args.degree_cap)
+    inverse = decision.inverse
     payload = {
         "ring": str(ef.ring),
         "status": "found" if inverse is not None else "none",
-        "degree_bound": bound,
-        "searched_degree": searched,
-        "found_degree": found,
-        "certified_non_automorphism": inverse is None and searched >= bound,
+        "degree_bound": decision.certified_bound,
+        "searched_degree": decision.searched_degree,
+        "found_degree": decision.found_degree,
+        "certified_non_automorphism": decision.status == "no",
         "inverse_images": None if inverse is None else _image_texts(inverse.images, ef.names()),
     }
     return 0, payload, digest

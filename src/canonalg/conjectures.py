@@ -78,29 +78,35 @@ def _search_cap(nvars: int, bound: int, monomial_cap: int, quick_cap: int) -> in
     return min(reachable, quick_cap)
 
 
-def _decide(endo, bound: int, search, monomial_cap: int, quick_cap: int) -> AutomorphismDecision:
-    """Search as far as the budget allows; "no" only once the bound is exhausted."""
-    search_cap = _search_cap(len(endo.images), bound, monomial_cap, quick_cap)
-    inverse, found = search(endo, search_cap)
+def _decide(
+    endo, bound: int, search, monomial_cap: int, quick_cap: int, degree_cap: int | None
+) -> AutomorphismDecision:
+    """Search to ``degree_cap``, or as far as the budget allows; "no" only once
+    the bound is exhausted.  Bound 0 is a constant map: "no" without a search,
+    over Z too."""
+    if degree_cap is None:
+        degree_cap = _search_cap(len(endo.images), bound, monomial_cap, quick_cap)
+    if not bound:
+        return AutomorphismDecision("no", None, 0, degree_cap)
+    inverse, found = search(endo, degree_cap)
     if inverse is not None:
-        return AutomorphismDecision("yes", found, bound, search_cap, inverse)
-    status = "no" if search_cap >= bound else "unknown"
-    return AutomorphismDecision(status, None, bound, search_cap)
+        return AutomorphismDecision("yes", found, bound, degree_cap, inverse)
+    status = "no" if degree_cap >= bound else "unknown"
+    return AutomorphismDecision(status, None, bound, degree_cap)
 
 
 def decide_poly_automorphism(
-    endo: PolyEndo, monomial_cap: int = MONOMIAL_BUDGET, quick_cap: int = 4
+    endo: PolyEndo, monomial_cap: int = MONOMIAL_BUDGET, quick_cap: int = 4, degree_cap: int | None = None
 ) -> AutomorphismDecision:
-    bound = gabber_degree_bound(endo)
-    if not bound:  # a constant map: "no" without a search, over Z too
-        return AutomorphismDecision("no", None, 0, 0)
-    return _decide(endo, bound, inverse_search_poly, monomial_cap, quick_cap)
+    return _decide(endo, gabber_degree_bound(endo), inverse_search_poly, monomial_cap, quick_cap, degree_cap)
 
 
 def decide_weyl_automorphism(
-    endo: WeylEndo, monomial_cap: int = MONOMIAL_BUDGET, quick_cap: int = 4
+    endo: WeylEndo, monomial_cap: int = MONOMIAL_BUDGET, quick_cap: int = 4, degree_cap: int | None = None
 ) -> AutomorphismDecision:
-    return _decide(endo, weylmod.inverse_degree_bound(endo), weylmod.inverse_search, monomial_cap, quick_cap)
+    return _decide(
+        endo, weylmod.inverse_degree_bound(endo), weylmod.inverse_search, monomial_cap, quick_cap, degree_cap
+    )
 
 
 # -- field-extension degree estimation ------------------------------------------------
@@ -345,14 +351,6 @@ class KrausReport:
         return {**record_fields(self), "factorizations": factorizations}
 
 
-def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
 _QUARTIC = [1, 0, 0, 0, 1]  # X^4 + 1, low degree first
 
 
@@ -396,12 +394,13 @@ def kraus_check(p_max: int) -> KrausReport:
     factorizations = {}
     all_reducible = True
     for p in primes_upto(p_max):
-        pair = _factor_quartic_mod(p)
-        if pair is None or _mul_mod(pair[0], pair[1], p) != [x % p for x in _QUARTIC]:
+        ring = GF(p)
+        pair = _factor_quartic_mod(p) or ()
+        quartic, *factors = (Poly(ring, 1, {(e,): c for e, c in enumerate(f)}) for f in (_QUARTIC, *pair))
+        if not factors or factors[0] * factors[1] != quartic:
             all_reducible = False
             continue
-        ring = GF(p)
-        factorizations[p] = tuple(Poly(ring, 1, {(e,): c for e, c in enumerate(f)}).to_text() for f in pair)
+        factorizations[p] = tuple(f.to_text() for f in factors)
 
     no_root = all(r**4 + 1 != 0 for r in (1, -1))
     no_quadratic = True

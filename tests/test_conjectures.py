@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -194,6 +196,54 @@ def test_chain_probe_consistency():
     assert rep.consistent
 
 
+def run_cli(tmp_path, argv: list, text: str) -> tuple[int, dict]:
+    """Exit code and payload of one CLI call on an endo file holding ``text``."""
+    from canonalg.cli import main
+
+    f, out = tmp_path / "map.endo", tmp_path / "report.json"
+    f.write_text(text)
+    code = main([*argv, "--input", str(f), "--json", str(out)])
+    return code, json.loads(out.read_text())["payload"]
+
+
+SHEAR_F5 = "ring=F5 kind=weyl n=1\nY1 -> Y1\nY2 -> Y2 + Y1^2\n"
+
+
+# The falsifications below cannot happen on correct code, so each forces the
+# stage it rests on and checks the event, the flag and the exit code.
+
+
+def test_chain_probe_reports_a_non_symplectic_center(tmp_path, monkeypatch):
+    checked = conjectures.check_center_symplectic
+    monkeypatch.setattr(
+        conjectures, "check_center_symplectic", lambda endo: dataclasses.replace(checked(endo), symplectic=False)
+    )
+    code, payload = run_cli(tmp_path, ["probe-chain"], SHEAR_F5)
+    assert code == 1
+    assert payload["consistent"] is False and payload["center_symplectic"] is False
+    assert payload["events"] == ["center restriction is not symplectic: PolyEndo(X1, X1^2 + X2)"]
+
+
+def test_chain_probe_reports_an_invertible_map_over_a_non_invertible_center(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        conjectures, "decide_poly_automorphism", lambda endo: conjectures.AutomorphismDecision("no", None, 7, 7)
+    )
+    code, payload = run_cli(tmp_path, ["probe-chain"], SHEAR_F5)
+    assert code == 1
+    assert (payload["weyl_status"], payload["center_status"], payload["consistent"]) == ("yes", "no", False)
+    assert payload["events"] == [
+        "endomorphism invertible but center restriction proven non-invertible (inverse degree 2, center bound 7)"
+    ]
+
+
+def test_check_instance_reports_an_automorphism_whose_hypothesis_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(conjectures, "_jacobian_nonzero_const", lambda endo: False)
+    code, payload = run_cli(tmp_path, ["check-instance", "--tag", "CJC"], "ring=F3 kind=poly m=1\nX1 -> X1\n")
+    assert code == 1
+    assert (payload["automorphism"], payload["hypothesis_holds"], payload["biconditional_holds"]) == ("yes", False, False)
+    assert payload["witnesses"] == ["automorphism found although a hypothesis fails"]
+
+
 def test_kraus_examples():
     rep = kraus_check(53)
     assert rep.z_irreducible and rep.all_reducible
@@ -202,6 +252,12 @@ def test_kraus_examples():
     assert set(rep.factorizations) == {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53}
     with pytest.raises(ValueError):
         kraus_check(1)
+
+
+def test_kraus_refuses_a_factorization_whose_product_is_not_the_quartic(monkeypatch):
+    monkeypatch.setattr(conjectures, "_factor_quartic_mod", lambda p: ([1, 1], [1, 0, 0, 1]))  # X^4 + X^3 + X + 1
+    rep = kraus_check(7)
+    assert not rep.all_reducible and rep.factorizations == {}
 
 
 def test_kraus_p_max_budget(monkeypatch):

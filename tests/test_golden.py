@@ -49,9 +49,12 @@ CASES = {
     "invert-poly-Q": (["invert", "--input", _input("poly-Q")], 0),
     "invert-poly-F3-cap1": (["invert", "--input", _input("poly-F3"), "--degree-cap", "1"], 0),
     "invert-deficit-F3": (["invert", "--input", _input("poly-deficit-F3")], 0),
+    "invert-const-F3-cap2": (["invert", "--input", _input("poly-const-F3"), "--degree-cap", "2"], 0),
     "invert-weyl-Q": (["invert-weyl", "--input", _input("weyl-Q")], 0),
     "invert-weyl-F5-n2": (["invert-weyl", "--input", _input("weyl-F5-n2")], 0),
+    "invert-weyl-F5-n2-cap2": (["invert-weyl", "--input", _input("weyl-F5-n2"), "--degree-cap", "2"], 0),
     "invert-weyl-pert-F5": (["invert-weyl", "--input", _input("weyl-pert-F5")], 0),
+    "invert-weyl-pert-F5-cap4": (["invert-weyl", "--input", _input("weyl-pert-F5"), "--degree-cap", "4"], 0),
     "invert-weyl-pert-F2-n2": (["invert-weyl", "--input", _input("weyl-pert-F2-n2")], 0),
     "invert-weyl-yes-F2-n2": (["invert-weyl", "--input", _input("weyl-yes-F2-n2")], 0),
     "check-instance-CJC-F3": (["check-instance", "--tag", "CJC", "--input", _input("poly-F3")], 0),

@@ -12,7 +12,7 @@ from canonalg.parsing import (
     print_endo_file,
 )
 from canonalg.poly import Poly
-from canonalg.report import validate_report
+from canonalg.report import build_report, validate_report
 from canonalg.rings import GF, QQ
 from canonalg.weyl import WeylAlgebra
 
@@ -76,6 +76,9 @@ def test_parse_endo_file_examples():
         ("ring=F2 kind=banana n=1\nY1 -> Y1\nY2 -> Y2\n", "kind"),
         ("ring=F2 kind=poly n=1\nX1 -> X1\n", "m="),
         ("ring=F2 kind=weyl n=1\nY1 Y1\nY2 -> Y2\n", "->"),
+        ("# only a comment\n\n", "empty input"),
+        ("ring=F2 kind=weyl n\nY1 -> Y1\nY2 -> Y2\n", "malformed header entry"),
+        ("ring=F2 kind=weyl\nY1 -> Y1\nY2 -> Y2\n", "needs n="),
     ],
 )
 def test_parse_endo_file_errors(text, fragment):
@@ -124,6 +127,25 @@ def test_cli_reduce_and_report_schema(tmp_path, monkeypatch):
     assert report["payload"]["center_images"] == ["X1", "X1^2 + X2"]
     assert report["payload"]["center_symplectic"] is True
     assert report["payload"]["degree"]["equal"] is True
+
+
+@pytest.mark.parametrize(
+    "edit,fragment",
+    [
+        (lambda report: report.update(tool=3), "$.tool: expected type string"),
+        (lambda report: report.update(schema_version=True), "$.schema_version: expected type integer"),
+        (lambda report: report.pop("seed"), "$: missing required key 'seed'"),
+        (lambda report: report.update(extra=1), "$: unexpected keys ['extra']"),
+    ],
+    ids=["wrong-type", "bool-for-integer", "missing-key", "extra-key"],
+)
+def test_validate_report_refuses_a_malformed_envelope(edit, fragment):
+    report = build_report("kraus", "0" * 64, {}, 0)
+    validate_report(report)
+    edit(report)
+    with pytest.raises(ValueError) as err:
+        validate_report(report)
+    assert fragment in str(err.value)
 
 
 def test_cli_reports_are_byte_identical(tmp_path):
@@ -176,10 +198,13 @@ def test_cli_invert_both_kinds(tmp_path):
     assert payload["inverse_images"] == ["Y1", "Y1^2 + Y2"]  # -1 = 1 mod 2
 
 
-@pytest.mark.parametrize("text", ["X1 -> 2\n", "X1 -> 0\nX2 -> 0\n"], ids=["two", "all-zero"])
-def test_cli_invert_certifies_a_constant_map_at_bound_0(text, tmp_path):
-    # a constant map has no inverse, so bound 0 certifies it, as check-instance already reports
-    f = write(tmp_path, "const.endo", f"ring=F3 kind=poly m={text.count('->')}\n{text}")
+@pytest.mark.parametrize(
+    "ring,text", [("F3", "X1 -> 2\n"), ("F3", "X1 -> 0\nX2 -> 0\n"), ("Z", "X1 -> 2\n")], ids=["two", "all-zero", "two-Z"]
+)
+def test_cli_invert_certifies_a_constant_map_at_bound_0(ring, text, tmp_path):
+    # a constant map has no inverse, so bound 0 certifies it, as check-instance already reports;
+    # no search runs, so integer coefficients need no field
+    f = write(tmp_path, "const.endo", f"ring={ring} kind=poly m={text.count('->')}\n{text}")
     out = str(tmp_path / "r.json")
     for cap in ([], ["--degree-cap", "2"]):
         assert main(["invert", "--input", f, *cap, "--json", out]) == 0

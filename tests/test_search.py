@@ -25,6 +25,8 @@ import canonalg.poly as poly
 import canonalg.weyl as weyl
 from canonalg.conjectures import (
     _search_cap,
+    decide_poly_automorphism,
+    decide_weyl_automorphism,
     frobenius_deficit_poly,
     frobenius_deficit_weyl,
     gabber_degree_bound,
@@ -32,7 +34,7 @@ from canonalg.conjectures import (
 )
 from canonalg.linalg import SparseMatrix, solve_many
 from canonalg.poisson import PoissonContext, coordinate_shear, generate_symplectomorphism, momentum_shear
-from canonalg.poly import Endo, Poly, PolyEndo, _Images, compositions, monomials_upto
+from canonalg.poly import Endo, Poly, PolyEndo, _Images, compositions, monomial_count, monomials_upto
 from canonalg.rings import GF, QQ, ZZ
 from canonalg.weyl import (
     RelationError,
@@ -228,6 +230,32 @@ def test_searches_refuse_integer_coefficients_at_every_cap():
 def test_cap_zero_searches_nothing():
     assert inverse_search(WeylEndo.identity(WeylAlgebra(GF(3), 1)), 0) == (None, None)
     assert inverse_search_poly(PolyEndo.identity(QQ, 1), 0) == (None, None)
+
+
+def capped_decision(search, bound: int, endo, cap: int) -> conjectures.AutomorphismDecision:
+    """The decision a fixed cap stands for: the search at exactly ``cap``,
+    and "no" iff ``cap`` reaches the bound."""
+    inverse, found = search(endo, cap)
+    if inverse is not None:
+        return conjectures.AutomorphismDecision("yes", found, bound, cap, inverse)
+    return conjectures.AutomorphismDecision("no" if cap >= bound else "unknown", None, bound, cap)
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), QQ], ids=str)
+def test_a_fixed_degree_cap_decides_as_the_search_at_that_cap(ring):
+    cases = [(decide_poly_automorphism, inverse_search_poly, gabber_degree_bound(e), e) for e in poly_maps(ring, 43)]
+    cases += [(decide_weyl_automorphism, inverse_search, inverse_degree_bound(e), e) for e in weyl_maps(ring, 43)]
+    statuses, above = set(), 0
+    for decide, search, bound, endo in cases:
+        caps = set(range(5))
+        if monomial_count(len(endo.images), bound + 1) <= 500:  # past the bound where that stays small
+            caps.add(bound + 1)
+            above += bound + 1 > 4  # a cap past the bound and past 0..4
+        for cap in sorted(caps):
+            decision = decide(endo, degree_cap=cap)
+            assert decision == capped_decision(search, bound, endo, cap), (repr(endo), cap)
+            statuses.add(decision.status)
+    assert above and statuses == {"yes", "no", "unknown"}
 
 
 # -- the two-sided check on the search's own engine -----------------------------------
