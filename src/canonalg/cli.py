@@ -36,7 +36,6 @@ from .reduction import center_degree_report, check_center_symplectic
 from .report import build_report, dump_report, input_digest, record_fields
 from .rings import NonUnitError, ring_from_text
 from .weyl import (
-    RelationError,
     WeylAlgebra,
     WeylEndo,
     center_slice_check,
@@ -277,7 +276,7 @@ def main(argv=None) -> int:
         text = dump_report(build_report(args.command, digest, payload, args.seed))
         if args.json:
             Path(args.json).write_text(text, encoding="utf-8")
-    except (ParseError, RelationError, NonUnitError, ValueError, OSError) as exc:
+    except (ValueError, NonUnitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an internal failure must never read as a verdict

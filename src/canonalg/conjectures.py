@@ -22,7 +22,7 @@ from . import weyl as weylmod
 from .linalg import solve_many
 from .poly import Poly, PolyEndo, monomial_count
 from .poisson import PoissonContext, is_symplectic
-from .reduction import induced_center_endo, check_center_symplectic
+from .reduction import check_center_symplectic
 from .report import record_fields
 from .rings import GF, Ring, primes_upto
 from .weyl import WeylEndo
@@ -243,8 +243,8 @@ def check_instance(tag: str, endo) -> InstanceVerdict:
         decision = decide_weyl_automorphism(endo)
         hyp_map = None
         if ring.characteristic():
-            hyp_map = induced_center_endo(endo).endo
-            flags["symplectic"] = is_symplectic(PoissonContext(ring, n), hyp_map)
+            sym = check_center_symplectic(endo)
+            hyp_map, flags["symplectic"] = sym.center.endo, sym.symplectic
 
     hyp_parts = []
     estimated = False

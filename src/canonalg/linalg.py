@@ -5,14 +5,14 @@ dict ``{row key: value}`` of its nonzero entries -- the form in which the
 inverse search and the center-slice kernel produce them (the term dicts of
 monomial images and of commutators).  :func:`solve_many` and
 :func:`matrix_rank` eliminate its columns in a :class:`ColumnEchelon` the
-matrix keeps: a new column is reduced against the stored ones and stored
-only if something is left, so the stored columns are the leftmost linearly
-independent ones.  Each stored column keeps a pivot row key, where it is 1
-and every later stored column is 0, and (when asked for) its combination of
-the original columns.  This is structured Gaussian elimination
-(LaMacchia-Odlyzko 1990) without its pruning pass, applied to columns; only
-nonzero entries are touched, with plain ints mod p over F_p and
-``Fraction`` over Q, no ``Ring`` dispatch.
+matrix keeps, one echelon for ranking and solving in either order: a new
+column is reduced against the stored ones and stored only if something is
+left, so the stored columns are the leftmost linearly independent ones.
+Each stored column keeps a pivot row key, where it is 1 and every later
+stored column is 0, and its combination of the original columns.  This is
+structured Gaussian elimination (LaMacchia-Odlyzko 1990) without its
+pruning pass, applied to columns; only nonzero entries are touched, with
+plain ints mod p over F_p and ``Fraction`` over Q, no ``Ring`` dispatch.
 
 Columns can be appended after a solve and each is eliminated once, so a
 search that widens its basis step by step pays for each column once.  A
@@ -22,9 +22,9 @@ scaled.  A right-hand side is solved by reducing it the same way: a nonzero
 remainder means no solution, otherwise the pivot factors times the stored
 combinations give x.  x lies on the independent columns only, so it is the
 solution dense Gauss-Jordan elimination gives with free unknowns set to
-zero.  A right-hand side made by :meth:`SparseMatrix.vector` carries its
-remainder and combination from solve to solve, reduced only at the pivots
-stored since (:meth:`ColumnEchelon.resolve`).
+zero.  Every right-hand side is made by :meth:`SparseMatrix.vector` and
+carries its remainder and combination from solve to solve, reduced only at
+the pivots stored since (:meth:`ColumnEchelon.resolve`).
 """
 
 from __future__ import annotations
@@ -41,28 +41,28 @@ class ColumnEchelon:
     """Column echelon of the columns added so far, in order.
 
     Stored column ``j`` has the pivot row key ``pivots[j]``, holds 1 there,
-    and is 0 at the pivots of the stored columns before it.  With
-    ``combinations`` on, ``combos[j]`` maps original column indices to the
-    coefficients that give stored column ``j``.
+    and is 0 at the pivots of the stored columns before it; ``combos[j]``
+    maps original column indices to the coefficients that give stored
+    column ``j``.
     """
 
     __slots__ = ("p", "added", "pivots", "columns", "combos", "_position")
 
-    def __init__(self, ring: Ring, combinations: bool = True):
+    def __init__(self, ring: Ring):
         if not ring.is_field():
             raise ValueError("elimination needs field coefficients")
         self.p = ring.characteristic()  # 0 over Q
         self.added = 0
         self.pivots: list = []
         self.columns: list[dict] = []
-        self.combos: list[dict] | None = [] if combinations else None
+        self.combos: list[dict] = []
         self._position: dict = {}  # pivot row key -> stored column index
 
     @property
     def rank(self) -> int:
         return len(self.columns)
 
-    def _reduce(self, column: dict, combo: dict | None) -> dict:
+    def _reduce(self, column: dict, combo: dict) -> dict:
         """``column`` cleared at every pivot, stored column by stored column.
 
         Stored column j is 0 at the pivots before its own, so taking the
@@ -76,7 +76,7 @@ class ColumnEchelon:
         todo = [position[k] for k in column if k in position]
         heapify(todo)
         v = dict(column)
-        get = v.get
+        get, cget = v.get, combo.get
         while todo:
             j = heappop(todo)
             f = get(self.pivots[j])
@@ -93,16 +93,14 @@ class ColumnEchelon:
                     v[k] = w
                 elif old is not None:
                     del v[k]
-            if combo is not None:
-                cget = combo.get
-                for i, c in combos[j].items():
-                    w = cget(i, 0) - f * c
-                    if p:
-                        w %= p
-                    if w:
-                        combo[i] = w
-                    else:
-                        del combo[i]
+            for i, c in combos[j].items():
+                w = cget(i, 0) - f * c
+                if p:
+                    w %= p
+                if w:
+                    combo[i] = w
+                else:
+                    del combo[i]
         return v
 
     def add(self, column: dict) -> bool:
@@ -115,7 +113,7 @@ class ColumnEchelon:
         """
         index = self.added
         self.added += 1
-        combo = {index: 1} if self.combos is not None else None
+        combo = {index: 1}
         v = self._reduce(column, combo)
         if not v:
             return False
@@ -125,12 +123,11 @@ class ColumnEchelon:
         if lead != 1:
             inv = pow(lead, -1, p) if p else 1 / Fraction(lead)
             v = _scaled(v, inv, p)
-            combo = _scaled(combo, inv, p) if combo is not None else None
+            combo = _scaled(combo, inv, p)
         self._position[pivot] = len(self.columns)
         self.pivots.append(pivot)
         self.columns.append(v)
-        if combo is not None:
-            self.combos.append(combo)
+        self.combos.append(combo)
         return True
 
     def solve(self, target: dict) -> dict | None:
@@ -144,8 +141,6 @@ class ColumnEchelon:
         0 at the pivots stored before it, so a remainder cleared at the first
         r pivots meets only later ones, taken in the order a from-scratch
         :meth:`solve` takes them: the results are equal."""
-        if self.combos is None:
-            raise ValueError("solving needs an echelon that keeps combinations")
         remainder = self._reduce(remainder, combo)
         if remainder:
             return remainder, None
@@ -184,10 +179,10 @@ class SparseMatrix(Sequence):
         self._layout = None
         return _Column(self, entries)
 
-    def eliminated(self, ring: Ring, combinations: bool = True) -> ColumnEchelon:
+    def eliminated(self, ring: Ring) -> ColumnEchelon:
         """The echelon, with every column appended so far added to it."""
         if self.echelon is None:
-            self.echelon = ColumnEchelon(ring, combinations)
+            self.echelon = ColumnEchelon(ring)
         add = self.echelon.add
         for column in self.columns[self.echelon.added :]:
             add(column)
@@ -250,25 +245,25 @@ class _Column(Sequence):
 
 
 def solve_many(ring: Ring, matrix: SparseMatrix, rhs: Sequence[_Column]) -> list[dict | None]:
-    """Solve A x = b for each b in ``rhs`` (made by ``matrix.vector``).
+    """Solve A x = b for each b in ``rhs``, all made by ``matrix.vector``
+    (another matrix's are refused with ValueError before anything is reduced).
 
-    Eliminates the columns appended since the last solve, then returns per
-    right-hand side ``{column index: coefficient}``, zero off the
-    independent columns, or None where that system is inconsistent.  One
-    made by another matrix is solved from scratch, not carried.
+    Eliminates the columns appended since the last solve, carries each b on
+    to the pivots stored since, and returns per b ``{column index:
+    coefficient}``, zero off the independent columns, or None where that
+    system is inconsistent.
     """
+    if any(b.matrix is not matrix for b in rhs):
+        raise ValueError("a right-hand side must be made by the matrix it is solved on")
     echelon = matrix.eliminated(ring)
     out = []
     for b in rhs:
-        if b.matrix is matrix:
-            b.remainder, x = echelon.resolve(b.remainder, b.combo)
-        else:
-            x = echelon.solve(b.entries)
+        b.remainder, x = echelon.resolve(b.remainder, b.combo)
         out.append(x)
     return out
 
 
 def matrix_rank(ring: Ring, matrix: SparseMatrix) -> int:
-    """Rank of the columns appended so far (no combinations are kept when
-    this is the matrix's first elimination)."""
-    return matrix.eliminated(ring, combinations=False).rank
+    """Rank of the columns appended so far, read off the echelon that
+    :func:`solve_many` fills."""
+    return matrix.eliminated(ring).rank

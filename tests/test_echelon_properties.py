@@ -6,7 +6,9 @@ right-hand side must equal the dense oracle's on the matrix of the columns
 appended so far, inconsistent right-hand sides included, and the matrix
 read as dense rows must be that matrix.  A right-hand side carries its
 remainder from one solve to the next; every solve must still return what
-a fresh echelon of all the columns so far solves from scratch.
+a fresh echelon of all the columns so far solves from scratch, and one made
+by another matrix is refused.  Ranking and solving share the matrix's one
+echelon, in either order.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ def entries(ring):
 
 
 @st.composite
-def batched_systems(draw):
-    ring = draw(st.sampled_from(RINGS))
+def batched_systems(draw, ring=None):
+    if ring is None:
+        ring = draw(st.sampled_from(RINGS))
     n_rows = draw(st.integers(0, 7))
     column = st.lists(entries(ring), min_size=n_rows, max_size=n_rows)
     batches = draw(st.lists(st.lists(column, max_size=4), min_size=1, max_size=4))
@@ -122,19 +125,47 @@ def test_carried_remainders_solve_as_a_fresh_echelon_does(system):
     ring, batches, targets = system
     matrix, columns = SparseMatrix(), []
     vectors = [matrix.vector(t) for t in targets]
-    elsewhere = SparseMatrix().vector(targets[0])  # made by another matrix: solved from scratch
+    elsewhere = SparseMatrix().vector(targets[0])  # made by another matrix: refused
     for number, batch in enumerate(batches, start=1):
         for col in batch:
             matrix.append(col)
             columns.append(col)
-        got = solve_many(ring, matrix, vectors + [elsewhere])
+        added = matrix.echelon.added if matrix.echelon else 0
+        carried = [(v.remainder, dict(v.combo)) for v in vectors]
+        with pytest.raises(ValueError):
+            solve_many(ring, matrix, vectors + [elsewhere])
+        assert (matrix.echelon.added if matrix.echelon else 0) == added  # nothing reduced
+        assert all(v.remainder is r and v.combo == c for v, (r, c) in zip(vectors, carried))
+        got = solve_many(ring, matrix, vectors)
         fresh = ColumnEchelon(ring)
         for col in columns:
             fresh.add(col)
-        want = [fresh.solve(t) for t in targets + [targets[0]]]
+        want = [fresh.solve(t) for t in targets]
         assert [None if x is None else list(x.items()) for x in got] == [
             None if x is None else list(x.items()) for x in want
         ]
         assert [v.entries for v in vectors] == targets  # the right-hand sides as given, for their readers
         assert elsewhere.remainder is elsewhere.entries and elsewhere.combo == {}
-        assert (got[-3] is None) == (number < len(batches)) and got[-2] is None
+        assert (got[-2] is None) == (number < len(batches)) and got[-1] is None
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(data=st.data())
+def test_ranking_and_solving_share_one_echelon_in_either_order(ring, data):
+    _, n_rows, batches, rhs = data.draw(batched_systems(ring))
+    columns = [col for batch in batches for col in batch]
+    fresh = ColumnEchelon(ring)
+    for col in columns:
+        fresh.add(sparse(col))
+    want = [fresh.solve(sparse(b)) for b in rhs]
+    rank = oracle.matrix_rank(ring, [[col[i] for col in columns] for i in range(n_rows)])
+    for rank_first in (True, False):
+        matrix = SparseMatrix()
+        for col in columns:
+            matrix.append(sparse(col))
+        vectors = [matrix.vector(sparse(b)) for b in rhs]
+        if rank_first:
+            assert matrix_rank(ring, matrix) == rank
+        assert solve_many(ring, matrix, vectors) == want
+        assert matrix_rank(ring, matrix) == rank
