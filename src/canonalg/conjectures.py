@@ -13,10 +13,9 @@ inverses (deg^(m-1) for polynomial maps, deg^(2n-1) on the Weyl side).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from math import prod
 
 from . import weyl as weylmod
 from .linalg import solve_many
@@ -109,48 +108,19 @@ def decide_weyl_automorphism(
     )
 
 
-# -- field-extension degree estimation ------------------------------------------------
-
-FIBER_POINT_BUDGET = 1 << 18  # points of F_p^2 a fiber count may enumerate (p <= 509)
+# -- the extension degree -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionDegreeReport:
-    estimate: int | None
-    exact: bool
-    not_finite: bool
-
-
-def extension_degree_estimate(endo: PolyEndo) -> ExtensionDegreeReport:
-    """Degree of the induced function-field extension.
-
-    For one variable the degree is exactly the polynomial degree; no point
-    is evaluated.  For two variables all fibers over the base field are
-    enumerated; fibers larger than the Bezout bound are treated as blowups
-    and the estimate is the largest remaining fiber, a lower-bound heuristic
-    only.  More than 2 variables, or a plane F_p^2 of more than
-    ``FIBER_POINT_BUDGET`` points, raise ``ValueError``.
-    """
-    p = endo.ring.characteristic()
-    if p == 0:
-        raise ValueError("fiber counting needs a prime field")
-    m = endo.nvars
-    if m > 2:
-        raise ValueError("fiber counting supported for at most 2 variables")
-    images = endo.images
-    if any(im.is_constant() for im in images):  # a zero image is constant too
-        return ExtensionDegreeReport(None, False, True)
-    if m == 1:
-        return ExtensionDegreeReport(images[0].degree(), True, False)
-    if p * p > FIBER_POINT_BUDGET:
-        raise ValueError(f"fiber counting over F{p}^2 needs {p * p} points, over the budget of {FIBER_POINT_BUDGET}")
-    # residues 0..p-1 are the elements of F_p
-    fibers = Counter(tuple(f.evaluate(pt) for f in images) for pt in product(range(p), repeat=2))
-    bezout = images[0].degree() * images[1].degree()
-    finite = [size for size in fibers.values() if size <= bezout]
-    if not finite:
-        return ExtensionDegreeReport(None, False, True)
-    return ExtensionDegreeReport(max(finite), False, False)
+def extension_degree_estimate(endo: PolyEndo) -> int:
+    """Exact degree [K(X) : K(F)] of a separated map: each image a polynomial
+    in one variable and no variable read twice, so the extension is a tower
+    of one-variable ones and its degree is the product of the image degrees.
+    No point is evaluated.  Any other map, a constant image included, raises
+    ``ValueError``."""
+    used = [{i for exps in im.terms for i, e in enumerate(exps) if e} for im in endo.images]
+    if any(len(letters) != 1 for letters in used) or len(set().union(*used)) != endo.nvars:
+        raise ValueError("the map is not separated")
+    return prod(im.degree() for im in endo.images)
 
 
 # -- instance verdicts ------------------------------------------------------------------
@@ -169,7 +139,6 @@ class InstanceVerdict:
     flags: dict
     hypothesis_holds: bool | None
     biconditional_holds: bool | None
-    estimated: bool
     witnesses: list = field(default_factory=list)
 
     def to_payload(self) -> dict:
@@ -187,25 +156,24 @@ def _and3(parts: list) -> bool | None:
     return True
 
 
-def _jacobian_nonzero_const(endo: PolyEndo) -> bool:
-    det = endo.jacobian().determinant()
-    return det.is_constant() and not det.is_zero()
-
-
-def _extension_flag(endo: PolyEndo, witnesses: list) -> tuple[bool | None, bool]:
-    """(degree not a multiple of p, came-from-estimator)."""
-    p = endo.ring.characteristic()
-    if p == 0:
-        return True, False  # no nonzero degree is a multiple of 0
+def _extension_flag(
+    endo: PolyEndo | None, p: int, decided_yes: bool, det: Poly | None, witnesses: list
+) -> bool | None:
+    """Whether [K(X) : K(F)] is not a multiple of p, by the first exact rule
+    that applies; None, with a witness, where none does.  ``det`` is the
+    jacobian determinant where the jacobian clause computed it."""
+    if p == 0 or decided_yes:
+        return True  # no nonzero degree is a multiple of 0; an automorphism has degree 1
+    if any(im.is_constant() for im in endo.images):
+        return False  # the extension is not finite
     try:
-        rep = extension_degree_estimate(endo)
-    except ValueError as exc:
-        witnesses.append(f"extension degree not evaluated: {exc}")
-        return None, True
-    if rep.not_finite:
-        witnesses.append("map not generically finite over the sample")
-        return False, not rep.exact
-    return rep.estimate % p != 0, not rep.exact
+        return extension_degree_estimate(endo) % p != 0
+    except ValueError:
+        pass
+    if det is not None and det.is_zero():
+        return False  # infinite or inseparable, and an inseparable degree is a multiple of p
+    witnesses.append("extension degree not evaluated")
+    return None
 
 
 def check_instance(tag: str, endo) -> InstanceVerdict:
@@ -246,17 +214,15 @@ def check_instance(tag: str, endo) -> InstanceVerdict:
             sym = check_center_symplectic(endo)
             hyp_map, flags["symplectic"] = sym.center.endo, sym.symplectic
 
-    hyp_parts = []
-    estimated = False
+    p = ring.characteristic()
+    jacobian_clause = tag[1:] == "JC" or (tag[0] == "C" and p <= n)
+    det = hyp_map.jacobian().determinant() if jacobian_clause and hyp_map is not None else None
     if tag[0] == "C":
-        ext, estimated = (True, False) if hyp_map is None else _extension_flag(hyp_map, witnesses)
-        flags["extension_degree_ok"] = ext
-        hyp_parts.append(ext)
-    if tag[1:] == "JC" or (tag[0] == "C" and ring.characteristic() <= n):
-        flags["jacobian_nonzero"] = hyp_map is None or _jacobian_nonzero_const(hyp_map)
-        hyp_parts.append(flags["jacobian_nonzero"])
+        flags["extension_degree_ok"] = _extension_flag(hyp_map, p, decision.status == "yes", det, witnesses)
+    if jacobian_clause:
+        flags["jacobian_nonzero"] = det is None or (det.is_constant() and not det.is_zero())
 
-    hypothesis = _and3(hyp_parts)
+    hypothesis = _and3([flags[k] for k in ("extension_degree_ok", "jacobian_nonzero") if k in flags])
     if decision.status == "unknown" or hypothesis is None:
         biconditional = None
     else:
@@ -277,7 +243,7 @@ def check_instance(tag: str, endo) -> InstanceVerdict:
     return InstanceVerdict(
         tag=tag,
         n=n,
-        p=ring.characteristic(),
+        p=p,
         d=d,
         automorphism=decision.status,
         inverse_degree=decision.found_degree,
@@ -286,7 +252,6 @@ def check_instance(tag: str, endo) -> InstanceVerdict:
         flags=flags,
         hypothesis_holds=hypothesis,
         biconditional_holds=biconditional,
-        estimated=estimated,
         witnesses=witnesses,
     )
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import fields
 from importlib import resources
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TOOL = "canonalg"
 
 

@@ -20,7 +20,7 @@ from canonalg.conjectures import (
     inverse_search_poly,
     kraus_check,
 )
-from canonalg.poly import Poly, PolyEndo
+from canonalg.poly import Poly, PolyEndo, PolyMatrix
 from canonalg.rings import GF, QQ, ZZ
 from canonalg.weyl import WeylAlgebra, WeylEndo, generate_weyl_automorphism
 
@@ -59,35 +59,37 @@ def test_inverse_search_needs_field():
 
 
 def test_extension_degree_m1():
+    # one variable: the degree of the image, over any field
     F5 = GF(5)
     squaring = PolyEndo(F5, 1, [Poly.variable(F5, 1, 1) ** 2])
-    rep = extension_degree_estimate(squaring)
-    assert rep.exact and rep.estimate == 2
+    assert extension_degree_estimate(squaring) == 2
 
-    F2 = GF(2)
-    rep = extension_degree_estimate(frobenius_deficit_poly(F2, 1))
-    assert rep.exact and rep.estimate == 2
-    assert rep.estimate % 2 == 0  # the hypothesis CJC drops fails here
+    degree = extension_degree_estimate(frobenius_deficit_poly(GF(2), 1))
+    assert degree == 2 and degree % 2 == 0  # the hypothesis CJC drops fails here
 
-    ident = PolyEndo.identity(GF(7), 1)
-    assert extension_degree_estimate(ident).estimate == 1
+    assert extension_degree_estimate(PolyEndo.identity(GF(7), 1)) == 1
+    assert extension_degree_estimate(PolyEndo.identity(QQ, 1)) == 1
+    with pytest.raises(ValueError, match="not separated"):
+        extension_degree_estimate(PolyEndo(F5, 1, [Poly.one(F5, 1)]))  # a constant reads no variable
 
 
 def test_extension_degree_m2_and_blowup():
+    # a separated map's degree is the product of its image degrees
     F3 = GF(3)
     x1, x2 = Poly.variable(F3, 2, 1), Poly.variable(F3, 2, 2)
+    assert extension_degree_estimate(PolyEndo(F3, 2, [x1, x2**2])) == 2
+    assert extension_degree_estimate(PolyEndo(F3, 2, [x2**2 + x2, x1**3 + x1])) == 6
+    assert extension_degree_estimate(PolyEndo.identity(F3, 4)) == 1
 
-    rep = extension_degree_estimate(PolyEndo(F3, 2, [x1, x2**2]))
-    assert not rep.exact and rep.estimate == 2 and not rep.not_finite
+    # a letter read twice, two letters in one image, a constant image
+    for images in ([x1, x1], [x1 + x2, x2], [x1, Poly.one(F3, 2)]):
+        with pytest.raises(ValueError, match="not separated"):
+            extension_degree_estimate(PolyEndo(F3, 2, images))
 
-    collapse = PolyEndo(F3, 2, [x1, x1])
-    rep = extension_degree_estimate(collapse)
-    assert rep.not_finite
-
-    with pytest.raises(ValueError):
-        extension_degree_estimate(PolyEndo.identity(QQ, 1))
-    with pytest.raises(ValueError):
-        extension_degree_estimate(PolyEndo.identity(GF(3), 4))
+    # the collapse (X1, X1) blows the plane down: det JF = 0 decides the clause
+    verdict = check_instance("CJC", PolyEndo(F3, 2, [x1, x1]))
+    assert verdict.flags == {"extension_degree_ok": False, "jacobian_nonzero": False}
+    assert verdict.witnesses == []
 
 
 def test_decide_poly_automorphism_statuses():
@@ -122,7 +124,7 @@ def test_check_instance_cjc_same_map_is_consistent():
     assert verdict.flags["extension_degree_ok"] is False
     assert verdict.hypothesis_holds is False
     assert verdict.biconditional_holds is True
-    assert verdict.estimated is False  # m = 1 is exact
+    assert "estimated" not in verdict.to_payload()  # every clause is exact or not evaluated
 
 
 def test_check_instance_npc_counterexample():
@@ -154,8 +156,7 @@ def test_cpc_jacobian_condition_is_gated_on_p_le_n():
     x1, x2 = Poly.variable(F5, 2, 1), Poly.variable(F5, 2, 2)
     shear = PolyEndo(F5, 2, [x1 + x2**2, x2])
     verdict = check_instance("CPC", shear)
-    assert "jacobian_nonzero" not in verdict.flags
-    assert verdict.estimated  # m = 2 relies on the fiber estimator
+    assert verdict.flags == {"symplectic": True, "extension_degree_ok": True}  # a "yes" map has degree 1
 
     # p = 2 <= n = 2: the clause is evaluated
     F2 = GF(2)
@@ -237,7 +238,7 @@ def test_chain_probe_reports_an_invertible_map_over_a_non_invertible_center(tmp_
 
 
 def test_check_instance_reports_an_automorphism_whose_hypothesis_fails(tmp_path, monkeypatch):
-    monkeypatch.setattr(conjectures, "_jacobian_nonzero_const", lambda endo: False)
+    monkeypatch.setattr(PolyMatrix, "determinant", lambda matrix: Poly.zero(matrix.ring, matrix.nvars))
     code, payload = run_cli(tmp_path, ["check-instance", "--tag", "CJC"], "ring=F3 kind=poly m=1\nX1 -> X1\n")
     assert code == 1
     assert (payload["automorphism"], payload["hypothesis_holds"], payload["biconditional_holds"]) == ("yes", False, False)
@@ -294,7 +295,7 @@ def test_cjc_over_q_has_vacuous_extension_condition():
     verdict = check_instance("CJC", PolyEndo(QQ, 1, [x + Poly.one(QQ, 1)]))
     assert verdict.p == 0
     assert verdict.flags["extension_degree_ok"] is True
-    assert verdict.estimated is False
+    assert verdict.witnesses == []
     assert verdict.automorphism == "yes" and verdict.biconditional_holds is True
 
 
@@ -327,57 +328,78 @@ def test_decide_weyl_unknown_when_bound_unreachable():
     assert decision.searched_degree <= 2
 
 
-_NOT_EVALUATED = ["extension degree not evaluated: fiber counting supported for at most 2 variables"]
+_NOT_EVALUATED = ["extension degree not evaluated"]
 _SYMPLECTIC = {"symplectic": True}
 
 
+def _f3_plane(*images):
+    """The map (images[0], images[1]) of the plane over F3, each image a function of X1, X2."""
+    F3 = GF(3)
+    x1, x2 = Poly.variable(F3, 2, 1), Poly.variable(F3, 2, 2)
+    return PolyEndo(F3, 2, [image(x1, x2) for image in images])
+
+
 # tag, map, automorphism, flags, hypothesis_holds, biconditional_holds,
-# estimated, witnesses; at each boundary where a clause starts or stops
-# applying: p <= n (a jacobian clause on CPC and CDC), p = 0 (vacuous clauses
-# for DC, none read off a center) and more than two variables (the
-# extension degree is not evaluated).
-@pytest.mark.parametrize(
-    "tag,make,status,flags,hypothesis,biconditional,estimated,witnesses",
-    [
-        # F2, n = 2: p <= n, so the jacobian of sigma|Z is a hypothesis
-        (
-            "CDC", lambda: frobenius_deficit_weyl(WeylAlgebra(GF(2), 2)), "no",
-            {**_SYMPLECTIC, "extension_degree_ok": None, "jacobian_nonzero": True}, None, None, True, _NOT_EVALUATED,
-        ),
-        ("CDC", lambda: WeylEndo.identity(WeylAlgebra(GF(3), 2)), "yes", {**_SYMPLECTIC, "extension_degree_ok": None}, None, None, True, _NOT_EVALUATED),
-        ("CDC", lambda: frobenius_deficit_weyl(WeylAlgebra(GF(2), 1)), "no", {**_SYMPLECTIC, "extension_degree_ok": False}, False, True, True, []),
-        (
-            "CPC", lambda: frobenius_deficit_poly(GF(2), 4), "no",
-            {**_SYMPLECTIC, "extension_degree_ok": None, "jacobian_nonzero": True}, None, None, True, _NOT_EVALUATED,
-        ),
-        ("CPC", lambda: PolyEndo.identity(GF(3), 4), "yes", {**_SYMPLECTIC, "extension_degree_ok": None}, None, None, True, _NOT_EVALUATED),
-        # NDC over F_p records the center's symplectic flag and nothing else
-        (
-            "NDC", lambda: frobenius_deficit_weyl(WeylAlgebra(GF(3), 1)), "no", _SYMPLECTIC, True, False, False,
-            ["hypotheses hold but the map is proven not an automorphism"],
-        ),
-        # over Q: p = 0 <= n, and no nonzero degree is a multiple of 0
-        ("CJC", lambda: PolyEndo.identity(QQ, 2), "yes", {"extension_degree_ok": True, "jacobian_nonzero": True}, True, True, False, []),
-        ("CDC", lambda: WeylEndo.identity(WeylAlgebra(QQ, 1)), "yes", {"extension_degree_ok": True, "jacobian_nonzero": True}, True, True, False, []),
-        ("NDC", lambda: WeylEndo.identity(WeylAlgebra(QQ, 1)), "yes", {}, True, True, False, []),
-        (
-            "CPC", lambda: PolyEndo.identity(QQ, 2), "yes",
-            {**_SYMPLECTIC, "extension_degree_ok": True, "jacobian_nonzero": True}, True, True, False, [],
-        ),
-        ("NPC", lambda: PolyEndo.identity(QQ, 2), "yes", _SYMPLECTIC, True, True, False, []),
-    ],
-    ids=[
-        "CDC-F2-n2", "CDC-F3-n2", "CDC-F2-n1", "CPC-F2-n2", "CPC-F3-n2", "NDC-F3",
-        "CJC-Q", "CDC-Q", "NDC-Q", "CPC-Q", "NPC-Q",
-    ],
-)
-def test_check_instance_clauses_per_tag(tag, make, status, flags, hypothesis, biconditional, estimated, witnesses):
+# witnesses; at each boundary where a clause starts or stops applying: p <= n
+# (a jacobian clause on CPC and CDC) and p = 0 (vacuous clauses for DC, none
+# read off a center); and once for each rule of the extension-degree clause:
+# p = 0, a "yes" map, a constant image, a separated map, det JF = 0, and
+# none of these (not evaluated).
+CLAUSE_ROWS = [
+    # F2, n = 2: p <= n, so the jacobian of sigma|Z is a hypothesis; sigma|Z is
+    # the separated (X1 - X1^2, X2, X3, X4), of degree 2 = p
+    (
+        "CDC", lambda: frobenius_deficit_weyl(WeylAlgebra(GF(2), 2)), "no",
+        {**_SYMPLECTIC, "extension_degree_ok": False, "jacobian_nonzero": True}, False, True, [],
+    ),
+    ("CDC", lambda: WeylEndo.identity(WeylAlgebra(GF(3), 2)), "yes", {**_SYMPLECTIC, "extension_degree_ok": True}, True, True, []),
+    ("CDC", lambda: frobenius_deficit_weyl(WeylAlgebra(GF(2), 1)), "no", {**_SYMPLECTIC, "extension_degree_ok": False}, False, True, []),
+    (
+        "CPC", lambda: frobenius_deficit_poly(GF(2), 4), "no",
+        {**_SYMPLECTIC, "extension_degree_ok": False, "jacobian_nonzero": True}, False, True, [],
+    ),
+    ("CPC", lambda: PolyEndo.identity(GF(3), 4), "yes", {**_SYMPLECTIC, "extension_degree_ok": True}, True, True, []),
+    # NDC over F_p records the center's symplectic flag and nothing else
+    (
+        "NDC", lambda: frobenius_deficit_weyl(WeylAlgebra(GF(3), 1)), "no", _SYMPLECTIC, True, False,
+        ["hypotheses hold but the map is proven not an automorphism"],
+    ),
+    # over Q: p = 0 <= n, and no nonzero degree is a multiple of 0
+    ("CJC", lambda: PolyEndo.identity(QQ, 2), "yes", {"extension_degree_ok": True, "jacobian_nonzero": True}, True, True, []),
+    ("CDC", lambda: WeylEndo.identity(WeylAlgebra(QQ, 1)), "yes", {"extension_degree_ok": True, "jacobian_nonzero": True}, True, True, []),
+    ("NDC", lambda: WeylEndo.identity(WeylAlgebra(QQ, 1)), "yes", {}, True, True, []),
+    (
+        "CPC", lambda: PolyEndo.identity(QQ, 2), "yes",
+        {**_SYMPLECTIC, "extension_degree_ok": True, "jacobian_nonzero": True}, True, True, [],
+    ),
+    ("NPC", lambda: PolyEndo.identity(QQ, 2), "yes", _SYMPLECTIC, True, True, []),
+    # the rules past "yes" and separated maps: a constant image, det JF = 0, none
+    (
+        "CJC", lambda: _f3_plane(lambda x1, x2: x1, lambda x1, x2: Poly.one(GF(3), 2)), "no",
+        {"extension_degree_ok": False, "jacobian_nonzero": False}, False, True, [],
+    ),
+    (
+        "CJC", lambda: _f3_plane(lambda x1, x2: x1**3 + x2, lambda x1, x2: x2), "no",
+        {"extension_degree_ok": False, "jacobian_nonzero": False}, False, True, [],
+    ),
+    (
+        "CJC", lambda: _f3_plane(lambda x1, x2: x1 + x1**3 + x2**2, lambda x1, x2: x2), "no",
+        {"extension_degree_ok": None, "jacobian_nonzero": True}, None, None, _NOT_EVALUATED,
+    ),
+]
+CLAUSE_IDS = [
+    "CDC-F2-n2", "CDC-F3-n2", "CDC-F2-n1", "CPC-F2-n2", "CPC-F3-n2", "NDC-F3",
+    "CJC-Q", "CDC-Q", "NDC-Q", "CPC-Q", "NPC-Q", "CJC-F3-constant", "CJC-F3-det-zero", "CJC-F3-not-evaluated",
+]
+
+
+@pytest.mark.parametrize("tag,make,status,flags,hypothesis,biconditional,witnesses", CLAUSE_ROWS, ids=CLAUSE_IDS)
+def test_check_instance_clauses_per_tag(tag, make, status, flags, hypothesis, biconditional, witnesses):
     verdict = check_instance(tag, make())
     assert verdict.automorphism == status
     assert verdict.flags == flags
     assert verdict.hypothesis_holds is hypothesis
     assert verdict.biconditional_holds is biconditional
-    assert verdict.estimated is estimated
     assert verdict.witnesses == witnesses
 
 

@@ -58,6 +58,7 @@ CASES = {
     "invert-weyl-pert-F2-n2": (["invert-weyl", "--input", _input("weyl-pert-F2-n2")], 0),
     "invert-weyl-yes-F2-n2": (["invert-weyl", "--input", _input("weyl-yes-F2-n2")], 0),
     "check-instance-CJC-F3": (["check-instance", "--tag", "CJC", "--input", _input("poly-F3")], 0),
+    "check-instance-CJC-cubic-F3": (["check-instance", "--tag", "CJC", "--input", _input("poly-cubic-F3")], 0),
     "check-instance-CJC-deficit-F3": (
         ["check-instance", "--tag", "CJC", "--input", _input("poly-deficit-F3")],
         0,

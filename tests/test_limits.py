@@ -1,5 +1,5 @@
 """Input limits that keep one call bounded: the prime-field modulus, the
-one-variable extension degree (read off the degree, no point evaluated), the
+extension degree (exact rules, no point evaluated, at any prime), the
 Weyl degree over Q or Z, the center-slice commutators, the shared monomial
 budget, an endo header's generator count, the determinant's work and the
 center restriction's work."""
@@ -15,7 +15,6 @@ import pytest
 from canonalg import cli, parsing, poly, reduction
 from canonalg.cli import main
 from canonalg.conjectures import (
-    FIBER_POINT_BUDGET,
     MONOMIAL_BUDGET,
     chain_probe,
     check_instance,
@@ -28,6 +27,7 @@ from canonalg.poly import DET_WORK_BUDGET, Poly, PolyEndo, PolyMatrix, _Images
 from canonalg.reduction import CENTER_WORK_BUDGET, induced_center_endo
 from canonalg.rings import GF, MODULUS_LIMIT, is_prime, ring_from_text
 from canonalg.weyl import WeylAlgebra, WeylEndo, generate_weyl_automorphism
+from test_conjectures import CLAUSE_ROWS
 
 LARGEST_PRIME_BELOW_LIMIT = 2**40 - 87
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,7 +75,7 @@ def test_huge_modulus_input_exits_2(tmp_path, capsys):
     assert main(["invert", "--input", big]) == 0
 
 
-# -- the one-variable extension degree -----------------------------------------------------
+# -- the extension degree -------------------------------------------------------------------
 
 
 def _univariate(ring, *coeffs):
@@ -97,21 +97,40 @@ def test_one_variable_extension_degree_evaluates_no_point(monkeypatch, tag):
     monkeypatch.setattr(Poly, "evaluate", no_point)
     for endo in maps:
         degree = endo.degree()
-        rep = extension_degree_estimate(endo)
-        assert (rep.estimate, rep.exact, rep.not_finite) == (degree, True, False)
+        assert extension_degree_estimate(endo) == degree
         verdict = check_instance(tag, endo)
         assert verdict.automorphism == ("yes" if degree == 1 else "no")
-        assert not verdict.estimated
+        assert "estimated" not in verdict.to_payload()
         assert not any("not evaluated" in w for w in verdict.witnesses)
         if tag == "CJC":
             assert verdict.flags["extension_degree_ok"] is (degree % endo.ring.p != 0)
 
 
+def test_extension_clauses_evaluate_no_point_at_any_prime(monkeypatch, tmp_path):
+    def no_point(*args):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(Poly, "evaluate", no_point)
+    for tag, make, _, flags, *_ in CLAUSE_ROWS:
+        if tag[0] == "C":
+            assert check_instance(tag, make()).flags == flags, tag
+
+    # the shear over F1009: a million points of the plane, and a "yes" map of degree 1
+    ring = GF(1009)
+    x1, x2 = Poly.variable(ring, 2, 1), Poly.variable(ring, 2, 2)
+    verdict = check_instance("CPC", PolyEndo(ring, 2, [x1 + x2**3, x2]))
+    assert verdict.flags == {"symplectic": True, "extension_degree_ok": True}
+    assert verdict.hypothesis_holds is True and verdict.witnesses == []
+
+    # two variables over F1000003, decided by the jacobian clause
+    p = 1000003
+    m2 = _write(tmp_path, "m2.endo", f"ring=F{p} kind=poly m=2\nX1 -> X1 + X1^2 + X2^2\nX2 -> X2\n")
+    assert main(["check-instance", "--tag", "CJC", "--input", m2]) == 0
+
+
 def test_one_variable_fibers_over_a_large_prime_are_not_enumerated(tmp_path):
     p = 1000003
-    assert p > FIBER_POINT_BUDGET
-    rep = extension_degree_estimate(_univariate(GF(p), 0, 1, 1))
-    assert (rep.estimate, rep.exact, rep.not_finite) == (2, True, False)
+    assert extension_degree_estimate(_univariate(GF(p), 0, 1, 1)) == 2
     f = _write(tmp_path, "m1.endo", f"ring=F{p} kind=poly m=1\nX1 -> X1 + X1^2\n")
     assert main(["check-instance", "--tag", "CJC", "--input", f]) == 0
 
