@@ -56,35 +56,34 @@ class AutomorphismDecision:
 
 
 MONOMIAL_BUDGET = 4000  # basis monomials a degree-bounded search or slice may form
+QUICK_CAP = 4  # the probe's degree cap when the certified bound lies past the budget
 
 
-@lru_cache(maxsize=256)  # called once per decision with a handful of distinct keys
-def _max_degree_within(nvars: int, monomial_cap: int) -> int:
+@lru_cache(maxsize=256)  # keyed by the budget too, so a changed budget reads no stale entry
+def _max_degree_within(nvars: int, budget: int) -> int:
     d = 0
-    while monomial_count(nvars, d + 1) <= monomial_cap:
+    while monomial_count(nvars, d + 1) <= budget:
         d += 1
     return d
 
 
-def _search_cap(nvars: int, bound: int, monomial_cap: int, quick_cap: int) -> int:
+def _search_cap(nvars: int, bound: int) -> int:
     """Degree to search up to.  When the certified bound fits under the
     monomial budget the search can certify "no"; otherwise only a cheap
     probe for small inverses is worthwhile, since the outcome without a
     find is "unknown" either way."""
-    reachable = _max_degree_within(nvars, monomial_cap)
+    reachable = _max_degree_within(nvars, MONOMIAL_BUDGET)
     if bound <= reachable:
         return bound
-    return min(reachable, quick_cap)
+    return min(reachable, QUICK_CAP)
 
 
-def _decide(
-    endo, bound: int, search, monomial_cap: int, quick_cap: int, degree_cap: int | None
-) -> AutomorphismDecision:
+def _decide(endo, bound: int, search, degree_cap: int | None) -> AutomorphismDecision:
     """Search to ``degree_cap``, or as far as the budget allows; "no" only once
     the bound is exhausted.  Bound 0 is a constant map: "no" without a search,
     over Z too."""
     if degree_cap is None:
-        degree_cap = _search_cap(len(endo.images), bound, monomial_cap, quick_cap)
+        degree_cap = _search_cap(len(endo.images), bound)
     if not bound:
         return AutomorphismDecision("no", None, 0, degree_cap)
     inverse, found = search(endo, degree_cap)
@@ -94,18 +93,12 @@ def _decide(
     return AutomorphismDecision(status, None, bound, degree_cap)
 
 
-def decide_poly_automorphism(
-    endo: PolyEndo, monomial_cap: int = MONOMIAL_BUDGET, quick_cap: int = 4, degree_cap: int | None = None
-) -> AutomorphismDecision:
-    return _decide(endo, gabber_degree_bound(endo), inverse_search_poly, monomial_cap, quick_cap, degree_cap)
+def decide_poly_automorphism(endo: PolyEndo, degree_cap: int | None = None) -> AutomorphismDecision:
+    return _decide(endo, gabber_degree_bound(endo), inverse_search_poly, degree_cap)
 
 
-def decide_weyl_automorphism(
-    endo: WeylEndo, monomial_cap: int = MONOMIAL_BUDGET, quick_cap: int = 4, degree_cap: int | None = None
-) -> AutomorphismDecision:
-    return _decide(
-        endo, weylmod.inverse_degree_bound(endo), weylmod.inverse_search, monomial_cap, quick_cap, degree_cap
-    )
+def decide_weyl_automorphism(endo: WeylEndo, degree_cap: int | None = None) -> AutomorphismDecision:
+    return _decide(endo, weylmod.inverse_degree_bound(endo), weylmod.inverse_search, degree_cap)
 
 
 # -- the extension degree -------------------------------------------------------------

@@ -262,6 +262,9 @@ def parse_endo_file(text: str) -> EndoFile:
             raise ParseError(f"kind={kind} needs n=<index>", header_no, 1)
         n = int(fields["n"])
         nvars = 2 * n
+    if len(header.split()) > 3:  # ring, kind and the count are in, so a fourth entry repeats one or is unknown
+        count = "m" if n is None else "n"
+        raise ParseError(f"kind={kind} takes the header keys ring, kind and {count} once each", header_no, 1)
 
     body = lines[1:]
     if len(body) != nvars:  # before any per-generator work, which a header's count alone would size

@@ -2,10 +2,9 @@
 
 Reports are deterministic: sorted keys, no timestamps, and the input is
 identified by a content digest, so identical (input, seed) pairs serialize
-byte-identically.  The report envelope is described by the schema shipped
-next to this module; :func:`validate_report` checks an object against it
-with a small structural interpreter (types, required keys, enums, closed
-objects), which covers everything the schema uses.
+byte-identically.  ``_ENVELOPE`` states the envelope once, its seven keys
+in :func:`build_report`'s order with their JSON types, and
+:func:`validate_report` checks a report against it.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import fields
-from importlib import resources
 
 SCHEMA_VERSION = 2
 TOOL = "canonalg"
@@ -52,52 +50,32 @@ def dump_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def load_schema() -> dict:
-    text = resources.files("canonalg").joinpath("report_schema.json").read_text("utf-8")
-    return json.loads(text)
-
-
-_TYPE_MAP = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "integer": int,
-    "number": (int, float),
-    "boolean": bool,
-    "null": type(None),
+# Each envelope key with its JSON type, in build_report's order; a report has exactly these keys.
+_ENVELOPE = {
+    "schema_version": "integer",
+    "tool": "string",
+    "tool_version": "string",
+    "command": "string",
+    "input_digest": "string",
+    "seed": ["integer", "null"],
+    "payload": "object",
 }
+_PY_TYPES = {"integer": int, "string": str, "null": type(None), "object": dict}
 
 
-def _type_ok(value, expected) -> bool:
-    names = expected if isinstance(expected, list) else [expected]
-    for name in names:
-        py = _TYPE_MAP[name]
-        if name == "integer" and isinstance(value, bool):
-            continue
-        if isinstance(value, py):
-            return True
-    return False
-
-
-def validate_report(obj, schema: dict | None = None, path: str = "$") -> None:
-    """Raise ValueError when obj does not match the (subset) schema."""
-    schema = load_schema() if schema is None else schema
-    if "type" in schema and not _type_ok(obj, schema["type"]):
-        raise ValueError(f"{path}: expected type {schema['type']}, got {type(obj).__name__}")
-    if "enum" in schema and obj not in schema["enum"]:
-        raise ValueError(f"{path}: {obj!r} not in enum {schema['enum']}")
-    if isinstance(obj, dict):
-        for key in schema.get("required", []):
-            if key not in obj:
-                raise ValueError(f"{path}: missing required key {key!r}")
-        props = schema.get("properties", {})
-        if schema.get("additionalProperties", True) is False:
-            extra = set(obj) - set(props)
-            if extra:
-                raise ValueError(f"{path}: unexpected keys {sorted(extra)}")
-        for key, sub in props.items():
-            if key in obj:
-                validate_report(obj[key], sub, f"{path}.{key}")
-    if isinstance(obj, list) and "items" in schema:
-        for i, item in enumerate(obj):
-            validate_report(item, schema["items"], f"{path}[{i}]")
+def validate_report(obj) -> None:
+    """Raise ValueError when obj is not a report envelope."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"$: expected type object, got {type(obj).__name__}")
+    for key in _ENVELOPE:
+        if key not in obj:
+            raise ValueError(f"$: missing required key {key!r}")
+    extra = set(obj) - set(_ENVELOPE)
+    if extra:
+        raise ValueError(f"$: unexpected keys {sorted(extra)}")
+    for key, expected in _ENVELOPE.items():
+        names = expected if isinstance(expected, list) else [expected]
+        value = obj[key]
+        # no envelope key is boolean, and a bool is no integer
+        if isinstance(value, bool) or not isinstance(value, tuple(_PY_TYPES[name] for name in names)):
+            raise ValueError(f"$.{key}: expected type {expected}, got {type(value).__name__}")

@@ -92,7 +92,7 @@ def test_extension_degree_m2_and_blowup():
     assert verdict.witnesses == []
 
 
-def test_decide_poly_automorphism_statuses():
+def test_decide_poly_automorphism_statuses(monkeypatch):
     F2 = GF(2)
     x = Poly.variable(F2, 1, 1)
     assert decide_poly_automorphism(PolyEndo(F2, 1, [x])).status == "yes"
@@ -103,7 +103,9 @@ def test_decide_poly_automorphism_statuses():
     F5 = GF(5)
     vars4 = [Poly.variable(F5, 4, i) for i in range(1, 5)]
     big = PolyEndo(F5, 4, [vars4[0] - vars4[0] ** 5] + vars4[1:])
-    decision = decide_poly_automorphism(big, monomial_cap=100, quick_cap=2)
+    monkeypatch.setattr(conjectures, "MONOMIAL_BUDGET", 100)
+    monkeypatch.setattr(conjectures, "QUICK_CAP", 2)
+    decision = decide_poly_automorphism(big)
     assert decision.status == "unknown"
     assert decision.searched_degree < decision.certified_bound
 
@@ -319,10 +321,12 @@ def test_jc_over_q_proven_invertible_implies_unit_constant_jacobian():
     assert seen_yes > 0
 
 
-def test_decide_weyl_unknown_when_bound_unreachable():
+def test_decide_weyl_unknown_when_bound_unreachable(monkeypatch):
     A = WeylAlgebra(GF(5), 2)
     pert = frobenius_deficit_weyl(A)  # degree 5, bound 125
-    decision = decide_weyl_automorphism(pert, monomial_cap=400, quick_cap=2)
+    monkeypatch.setattr(conjectures, "MONOMIAL_BUDGET", 400)
+    monkeypatch.setattr(conjectures, "QUICK_CAP", 2)
+    decision = decide_weyl_automorphism(pert)
     assert decision.status == "unknown"
     assert decision.certified_bound == 125
     assert decision.searched_degree <= 2

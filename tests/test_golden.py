@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import random
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ import pytest
 from canonalg import cli
 from canonalg.cli import main
 from canonalg.poisson import PoissonContext, generate_symplectomorphism
+from canonalg.report import validate_report
 from canonalg.rings import GF, QQ
 from canonalg.weyl import WeylAlgebra, generate_central_perturbation, generate_weyl_automorphism
 
@@ -125,6 +127,7 @@ def _assert_golden(case: str, out: Path) -> None:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_report_matches_golden(case, tmp_path):
     _assert_golden(case, tmp_path / "report.json")
+    validate_report(json.loads((GOLDEN / f"{case}.json").read_text("utf-8")))
 
 
 # The parser is built once per process and shared by every main() call; the

@@ -16,6 +16,7 @@ from canonalg import cli, parsing, poly, reduction
 from canonalg.cli import main
 from canonalg.conjectures import (
     MONOMIAL_BUDGET,
+    QUICK_CAP,
     chain_probe,
     check_instance,
     decide_poly_automorphism,
@@ -237,11 +238,10 @@ def test_center_slice_keeps_every_cap_the_basis_allows_up_to_n_2(capsys):
 
 
 def test_one_monomial_budget():
-    assert MONOMIAL_BUDGET == 4000
-    for decide in (decide_poly_automorphism, decide_weyl_automorphism):
-        assert inspect.signature(decide).parameters["monomial_cap"].default == MONOMIAL_BUDGET
-    for entry in (check_instance, chain_probe):
-        assert "monomial_cap" not in inspect.signature(entry).parameters
+    assert MONOMIAL_BUDGET == 4000 and QUICK_CAP == 4
+    for entry in (decide_poly_automorphism, decide_weyl_automorphism, check_instance, chain_probe):
+        parameters = inspect.signature(entry).parameters
+        assert "monomial_cap" not in parameters and "quick_cap" not in parameters
     assert not hasattr(cli, "_MONOMIAL_CAP")
 
 

@@ -79,6 +79,11 @@ def test_parse_endo_file_examples():
         ("# only a comment\n\n", "empty input"),
         ("ring=F2 kind=weyl n\nY1 -> Y1\nY2 -> Y2\n", "malformed header entry"),
         ("ring=F2 kind=weyl\nY1 -> Y1\nY2 -> Y2\n", "needs n="),
+        ("ring=F3 kind=poly m=1 m=2\nX1 -> X1\nX2 -> X2\n", "kind=poly takes the header keys ring, kind and m once each"),
+        ("ring=F2 ring=F3 kind=weyl n=1\nY1 -> Y1\nY2 -> Y2\n", "kind=weyl takes the header keys ring, kind and n once each"),
+        ("ring=F2 kind=weyl n=1 m=9\nY1 -> Y1\nY2 -> Y2\n", "kind=weyl takes the header keys ring, kind and n once each"),
+        ("ring=F2 kind=poly m=1 n=1\nX1 -> X1\n", "kind=poly takes the header keys ring, kind and m once each"),
+        ("ring=Q kind=poisson n=1 seed=3\nX1 -> X1\nX2 -> X2\n", "kind=poisson takes the header keys ring, kind and n once each"),
     ],
 )
 def test_parse_endo_file_errors(text, fragment):
@@ -136,15 +141,17 @@ def test_cli_reduce_and_report_schema(tmp_path, monkeypatch):
         (lambda report: report.update(schema_version=True), "$.schema_version: expected type integer"),
         (lambda report: report.pop("seed"), "$: missing required key 'seed'"),
         (lambda report: report.update(extra=1), "$: unexpected keys ['extra']"),
+        (lambda report: [report], "$: expected type object, got list"),
+        (lambda report: report.update(seed="3"), "$.seed: expected type ['integer', 'null'], got str"),
     ],
-    ids=["wrong-type", "bool-for-integer", "missing-key", "extra-key"],
+    ids=["wrong-type", "bool-for-integer", "missing-key", "extra-key", "not-an-object", "string-seed"],
 )
 def test_validate_report_refuses_a_malformed_envelope(edit, fragment):
     report = build_report("kraus", "0" * 64, {}, 0)
     validate_report(report)
-    edit(report)
+    replaced = edit(report)  # an edit works in place, or returns a list to stand for the report
     with pytest.raises(ValueError) as err:
-        validate_report(report)
+        validate_report(replaced if isinstance(replaced, list) else report)
     assert fragment in str(err.value)
 
 

@@ -52,11 +52,11 @@ RINGS = [QQ, GF(2), GF(3), GF(5), GF(10007)]
 
 
 def weyl_cap(endo) -> int:
-    return _search_cap(2 * endo.algebra.n, inverse_degree_bound(endo), 4000, 4)
+    return _search_cap(2 * endo.algebra.n, inverse_degree_bound(endo))
 
 
 def poly_cap(endo) -> int:
-    return _search_cap(endo.nvars, gabber_degree_bound(endo), 4000, 4)
+    return _search_cap(endo.nvars, gabber_degree_bound(endo))
 
 
 def engine_images_match_the_oracle(endo, cap: int) -> None:
