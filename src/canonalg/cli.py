@@ -30,21 +30,24 @@ from .conjectures import (
     kraus_check,
 )
 from .parsing import EndoFile, ParseError, parse_endo_file
-from .poly import default_names, monomial_count
+from .poly import monomial_count
 from .poisson import PoissonContext, check_symplectic
 from .reduction import center_degree_report, check_center_symplectic
 from .report import build_report, dump_report, input_digest, record_fields
-from .rings import NonUnitError, ring_from_text
-from .weyl import (
-    WeylAlgebra,
-    WeylEndo,
-    center_slice_check,
-    verify_endo_relations,
-)
+from .rings import NonUnitError, is_numeral, ring_from_text
+from .weyl import WeylAlgebra, center_slice_check, verify_endo_relations
+
+
+def integer(text: str) -> int:
+    """A decimal integer argument: an optional ``-``, then ASCII digits."""
+    if not is_numeral(text.removeprefix("-")):
+        raise ValueError(text)
+    return int(text)
+
 
 def u64(text: str) -> int:
     """An unsigned 64-bit integer argument; anything else is a usage error."""
-    value = int(text)
+    value = integer(text)
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"{value} is outside [0, 2^64)")
     return value
@@ -71,20 +74,20 @@ def build_parser() -> argparse.ArgumentParser:
     add("check-symplectic", True)
     add("check-weyl-endo", True)
     add("reduce", True)
-    add("invert", True, **{"--degree-cap": dict(type=int, default=None)})
-    add("invert-weyl", True, **{"--degree-cap": dict(type=int, default=None)})
+    add("invert", True, **{"--degree-cap": dict(type=integer, default=None)})
+    add("invert-weyl", True, **{"--degree-cap": dict(type=integer, default=None)})
     add("check-instance", True, **{"--tag": dict(required=True, choices=TAGS)})
     add(
         "center-slice",
         False,
         **{
             "--ring": dict(required=True, help="prime field literal, e.g. F2"),
-            "--n": dict(type=int, required=True),
-            "--degree-cap": dict(type=int, required=True),
+            "--n": dict(type=integer, required=True),
+            "--degree-cap": dict(type=integer, required=True),
         },
     )
-    add("kraus", False, **{"--p-max": dict(type=int, default=1000)})
-    add("suite", False, **{"--p-max": dict(type=int, default=1000)})
+    add("kraus", False, **{"--p-max": dict(type=integer, default=1000)})
+    add("suite", False, **{"--p-max": dict(type=integer, default=1000)})
     add("probe-chain", True)
     return parser
 
@@ -114,50 +117,35 @@ def _read(args, *kinds: str) -> tuple[EndoFile, str]:
     return ef, input_digest(data)
 
 
-def _weyl_endo(ef: EndoFile) -> WeylEndo:
-    return WeylEndo(ef.weyl_algebra(), list(ef.images))
-
-
-def _image_texts(images, names) -> list[str]:
-    return [im.to_text(names) for im in images]
-
-
 def _run_check_symplectic(args):
     ef, digest = _read(args, "poisson")
-    ctx = PoissonContext(ef.ring, ef.n)
-    rec = check_symplectic(ctx, ef.poly_endo())
-    payload = {"ring": str(ef.ring), "n": ef.n, **record_fields(rec), "det": rec.det.to_text(ef.names())}
+    rec = check_symplectic(PoissonContext(ef.ring, ef.n), ef.endo())
+    payload = {"ring": str(ef.ring), "n": ef.n, **record_fields(rec), "det": rec.det.to_text()}
     payload["assertion_violated"] = rec.assertion_violated
     return (1 if rec.assertion_violated else 0), payload, digest
 
 
 def _run_check_weyl_endo(args):
     ef, digest = _read(args, "weyl")
-    algebra = ef.weyl_algebra()
-    ok, witness = verify_endo_relations(algebra, list(ef.images))
-    names = ef.names()
+    ok, witness = verify_endo_relations(WeylAlgebra(ef.ring, ef.n), list(ef.images))
     payload = {
         "ring": str(ef.ring),
         "n": ef.n,
         "relations_hold": ok,
-        "witness": None
-        if ok
-        else {"i": witness[0], "j": witness[1], "commutator": witness[2].to_text(names)},
-        "degree": max(
-            (im.degree() for im in ef.images if not im.is_zero()), default=None
-        ),
+        "witness": None if ok else {"i": witness[0], "j": witness[1], "commutator": witness[2].to_text()},
+        "degree": max((im.degree() for im in ef.images if not im.is_zero()), default=None),
     }
     return 0, payload, digest
 
 
 def _run_reduce(args):
     ef, digest = _read(args, "weyl")
-    sym = check_center_symplectic(_weyl_endo(ef))
+    sym = check_center_symplectic(ef.endo())
     degrees = center_degree_report(sym.center)
     payload = {
         "ring": str(ef.ring),
         "n": ef.n,
-        "center_images": _image_texts(sym.center.endo.images, default_names(ef.nvars)),
+        "center_images": [im.to_text() for im in sym.center.endo.images],
         "degree": {
             "endomorphism": degrees.deg_endo,
             "center": degrees.deg_center,
@@ -170,15 +158,12 @@ def _run_reduce(args):
 
 
 def _run_invert(args):
-    if args.command == "invert-weyl":
-        ef, digest = _read(args, "weyl")
-        endo, decide = _weyl_endo(ef), decide_weyl_automorphism
-    else:
-        ef, digest = _read(args, "poly", "poisson")
-        endo, decide = ef.poly_endo(), decide_poly_automorphism
+    weyl = args.command == "invert-weyl"
+    ef, digest = _read(args, "weyl") if weyl else _read(args, "poly", "poisson")
+    endo = ef.endo()
     if args.degree_cap is not None:
-        _check_degree_cap(args.degree_cap, len(endo.images))
-    decision = decide(endo, degree_cap=args.degree_cap)
+        _check_degree_cap(args.degree_cap, ef.nvars)
+    decision = (decide_weyl_automorphism if weyl else decide_poly_automorphism)(endo, degree_cap=args.degree_cap)
     inverse = decision.inverse
     payload = {
         "ring": str(ef.ring),
@@ -187,14 +172,14 @@ def _run_invert(args):
         "searched_degree": decision.searched_degree,
         "found_degree": decision.found_degree,
         "certified_non_automorphism": decision.status == "no",
-        "inverse_images": None if inverse is None else _image_texts(inverse.images, ef.names()),
+        "inverse_images": None if inverse is None else [im.to_text() for im in inverse.images],
     }
     return 0, payload, digest
 
 
 def _run_check_instance(args):
     ef, digest = _read(args, {"JC": "poly", "PC": "poisson", "DC": "weyl"}[args.tag[1:]])
-    verdict = check_instance(args.tag, _weyl_endo(ef) if ef.kind == "weyl" else ef.poly_endo())
+    verdict = check_instance(args.tag, ef.endo())
     payload = verdict.to_payload()
     code = 1 if verdict.biconditional_holds is False else 0
     return code, payload, digest
@@ -228,7 +213,7 @@ def _run_suite(args):
 
 def _run_probe_chain(args):
     ef, digest = _read(args, "weyl")
-    rec = chain_probe(_weyl_endo(ef))
+    rec = chain_probe(ef.endo())
     return (0 if rec.consistent else 1), rec.to_payload(), digest
 
 

@@ -25,9 +25,11 @@ An endomorphism file is a ``key=value`` header line followed by one
     Y1 -> Y1
     Y2 -> Y2 + Y1^2
 
-Header keys: ``ring`` (Z, Q, F<p> or Fp(<p>)), ``kind`` (poly, poisson,
-weyl), and ``m`` (variable count, kind poly) or ``n`` (index, other kinds);
-m or 2n may not pass ``GENERATOR_LIMIT``.
+Header keys: ``ring`` (Z, Q, F<p> or Fp(<p>)), ``kind`` and the kind's count
+key, each once.  ``_KINDS`` states each kind's count key, what it counts, the
+generators per unit of the count and their letter; reading and printing both
+follow it.  The generator count may not pass ``GENERATOR_LIMIT``, and every
+numeral, in the header or an expression, is ASCII digits 0-9.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Poly, PolyEndo, default_names, power
-from .rings import Ring, ring_from_text
-from .weyl import WeylAlgebra, WeylElement
+from .rings import Ring, is_numeral, ring_from_text
+from .weyl import WeylAlgebra, WeylElement, WeylEndo
 
 
 class ParseError(ValueError):
@@ -58,9 +60,9 @@ def _tokenize(text: str, line_no: int = 0) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if is_numeral(ch):
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and is_numeral(text[j]):
                 j += 1
             tokens.append(("int", int(text[i:j]), i + 1))
             i = j
@@ -200,10 +202,19 @@ def _evaluate(text: str, line_no: int, variables: dict, one):
         raise ParseError(str(exc), line_no, 1) from None
 
 
-def parse_poly(text: str, ring: Ring, nvars: int, letter: str = "X") -> Poly:
+def parse_poly(text: str, ring: Ring, nvars: int) -> Poly:
     """Public API: the grammar's one-expression entry point, undeclared names refused."""
-    variables = dict(zip(default_names(nvars, letter), PolyEndo.identity(ring, nvars).images))
+    variables = dict(zip(default_names(nvars), PolyEndo.identity(ring, nvars).images))
     return _evaluate(text, 0, variables, Poly.one(ring, nvars))
+
+
+# Each kind's header count key, what the count counts, the generators per unit
+# of the count, and the letter the generators are written in.
+_KINDS = {
+    "poly": ("m", "variable count", 1, "X"),
+    "poisson": ("n", "index", 2, "X"),
+    "weyl": ("n", "index", 2, "Y"),
+}
 
 
 @dataclass(frozen=True)
@@ -211,23 +222,17 @@ class EndoFile:
     """Parsed endomorphism definition: header plus one image per generator."""
 
     ring: Ring
-    kind: str  # "poly" | "poisson" | "weyl"
+    kind: str  # a key of _KINDS
     n: int | None
     nvars: int
     images: tuple
 
-    def names(self) -> list[str]:
-        return default_names(self.nvars, "Y" if self.kind == "weyl" else "X")
-
-    def poly_endo(self) -> PolyEndo:
+    def endo(self) -> PolyEndo | WeylEndo:
+        """The file's endomorphism: a relation-verified ``WeylEndo`` for kind
+        weyl, a ``PolyEndo`` for the other kinds."""
         if self.kind == "weyl":
-            raise ValueError("a weyl file does not define a polynomial endomorphism")
+            return WeylEndo(WeylAlgebra(self.ring, self.n), list(self.images))
         return PolyEndo(self.ring, self.nvars, list(self.images))
-
-    def weyl_algebra(self) -> WeylAlgebra:
-        if self.kind != "weyl":
-            raise ValueError("not a weyl file")
-        return WeylAlgebra(self.ring, self.n)
 
 
 def parse_endo_file(text: str) -> EndoFile:
@@ -250,21 +255,16 @@ def parse_endo_file(text: str) -> EndoFile:
     except ValueError as exc:
         raise ParseError(str(exc), header_no, 1) from None
     kind = fields.get("kind", "")
-    if kind not in ("poly", "poisson", "weyl"):
+    if kind not in _KINDS:
         raise ParseError(f"kind must be poly, poisson or weyl, got {kind!r}", header_no, 1)
-    if kind == "poly":
-        if "m" not in fields or not fields["m"].isdigit() or int(fields["m"]) < 1:
-            raise ParseError("kind=poly needs m=<variable count>", header_no, 1)
-        n = None
-        nvars = int(fields["m"])
-    else:
-        if "n" not in fields or not fields["n"].isdigit() or int(fields["n"]) < 1:
-            raise ParseError(f"kind={kind} needs n=<index>", header_no, 1)
-        n = int(fields["n"])
-        nvars = 2 * n
+    key, label, per_unit, letter = _KINDS[kind]
+    count = fields.get(key, "")
+    if not is_numeral(count) or int(count) < 1:
+        raise ParseError(f"kind={kind} needs {key}=<{label}>", header_no, 1)
+    n = int(count) if key == "n" else None
+    nvars = per_unit * int(count)
     if len(header.split()) > 3:  # ring, kind and the count are in, so a fourth entry repeats one or is unknown
-        count = "m" if n is None else "n"
-        raise ParseError(f"kind={kind} takes the header keys ring, kind and {count} once each", header_no, 1)
+        raise ParseError(f"kind={kind} takes the header keys ring, kind and {key} once each", header_no, 1)
 
     body = lines[1:]
     if len(body) != nvars:  # before any per-generator work, which a header's count alone would size
@@ -273,13 +273,9 @@ def parse_endo_file(text: str) -> EndoFile:
         )
     if nvars > GENERATOR_LIMIT:
         raise ParseError(f"{nvars} generators exceed the limit of {GENERATOR_LIMIT}", header_no, 1)
-    names = default_names(nvars, "Y" if kind == "weyl" else "X")
-    if kind == "weyl":
-        algebra = WeylAlgebra(ring, n)
-        gens, one = algebra.generators(), algebra.one()
-    else:
-        gens, one = PolyEndo.identity(ring, nvars).images, Poly.one(ring, nvars)
-    variables = dict(zip(names, gens))
+    names = default_names(nvars, letter)
+    gens = WeylAlgebra(ring, n).generators() if kind == "weyl" else PolyEndo.identity(ring, nvars).images
+    variables, one = dict(zip(names, gens)), gens[0]._one()
     images = []
     for expected, (line_no, line) in zip(names, body):
         lhs, arrow, rhs = line.partition("->")
@@ -292,12 +288,8 @@ def parse_endo_file(text: str) -> EndoFile:
 
 
 def print_endo_file(ef: EndoFile) -> str:
-    if ef.kind == "poly":
-        header = f"ring={ef.ring} kind=poly m={ef.nvars}"
-    else:
-        header = f"ring={ef.ring} kind={ef.kind} n={ef.n}"
-    names = ef.names()
-    lines = [header]
-    for name, image in zip(names, ef.images):
-        lines.append(f"{name} -> {image.to_text(names)}")
+    """The file text ``parse_endo_file`` reads back as ``ef``."""
+    key, _, per_unit, letter = _KINDS[ef.kind]
+    lines = [f"ring={ef.ring} kind={ef.kind} {key}={ef.nvars // per_unit}"]
+    lines += [f"{name} -> {image.to_text()}" for name, image in zip(default_names(ef.nvars, letter), ef.images)]
     return "\n".join(lines) + "\n"

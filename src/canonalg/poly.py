@@ -171,11 +171,11 @@ class Terms:
     def __repr__(self):
         return f"{type(self).__name__}({self.ring}, {self.to_text()})"
 
-    def to_text(self, names: Sequence[str] | None = None) -> str:
+    def to_text(self) -> str:
         """Grammar-compatible rendering: graded order, explicit ``*``, ``^`` powers."""
         if not self.terms:
             return "0"
-        letters = self._letters(names)
+        letters = self._letters()
         signed = self.ring.kind != "Fp"
         pieces = []
         for key, c in self.sorted_terms():
@@ -225,8 +225,8 @@ class Poly(Terms):
     def _one(self) -> "Poly":
         return Poly.one(self.ring, self.nvars)
 
-    def _letters(self, names):
-        return list(names) if names is not None else default_names(self.nvars)
+    def _letters(self) -> list[str]:
+        return default_names(self.nvars)
 
     # -- constructors --------------------------------------------------------
 

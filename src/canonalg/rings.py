@@ -154,6 +154,11 @@ def GF(p: int) -> Ring:
     return Ring("Fp", p)
 
 
+def is_numeral(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII digits 0-9: the numerals every reader of input takes."""
+    return text.isascii() and text.isdigit()
+
+
 def ring_from_text(text: str) -> Ring:
     """Parse a ring literal: ``Z``, ``Q``, ``F<p>`` or ``Fp(<p>)``."""
     t = text.strip()
@@ -167,6 +172,6 @@ def ring_from_text(text: str) -> Ring:
         body = t[1:]
     else:
         raise ValueError(f"unknown ring literal {text!r}")
-    if not body.isdigit():
+    if not is_numeral(body):
         raise ValueError(f"unknown ring literal {text!r}")
     return GF(int(body))

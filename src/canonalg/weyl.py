@@ -146,10 +146,8 @@ class WeylElement(Terms):
     def _one(self) -> "WeylElement":
         return self.algebra.one()
 
-    def _letters(self, names):
-        n = self.algebra.n
-        names = list(names) if names is not None else default_names(2 * n, "Y")
-        return names[n:] + names[:n]
+    def _letters(self) -> tuple[str, ...]:
+        return swap_blocks(default_names(2 * self.algebra.n, "Y"))
 
     # -- multiplication ------------------------------------------------------------
 

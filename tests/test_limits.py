@@ -339,7 +339,7 @@ def test_center_work_budget_boundary(monkeypatch):
     # before each product by sigma(Y_i), each left term counts the terms it can form with the
     # image's terms: one with Y1, min(2, p - 1) + 1 = 3 with Y2^2 (its Leibniz expansion), 2 with Y2
     ef = parse_endo_file("ring=F5 kind=weyl n=1\nY1 -> Y1 + Y2^2\nY2 -> Y2\n")
-    endo = WeylEndo(ef.weyl_algebra(), list(ef.images))
+    endo = ef.endo()
     one = endo.algebra.one()
     powers = [[image**k if k else one for k in range(5)] for image in endo.images]
     work = 4 * sum(len(f.terms) for f in powers[0]) + 2 * sum(len(f.terms) for f in powers[1])

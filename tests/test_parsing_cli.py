@@ -11,10 +11,12 @@ from canonalg.parsing import (
     parse_poly,
     print_endo_file,
 )
+from canonalg.poisson import PoissonContext, generate_symplectomorphism
 from canonalg.poly import Poly
 from canonalg.report import build_report, validate_report
 from canonalg.rings import GF, QQ
-from canonalg.weyl import WeylAlgebra
+from canonalg.weyl import WeylAlgebra, generate_central_perturbation, generate_weyl_automorphism
+from util import weyl_corpus
 
 
 def test_expression_basics():
@@ -60,7 +62,7 @@ def test_parse_endo_file_examples():
     assert ef.kind == "weyl" and ef.n == 1 and str(ef.ring) == "F2"
 
     ef = parse_endo_file("ring=Q kind=poisson n=1\nX1 -> X1 + X2^2\nX2 -> X2\n")
-    assert ef.poly_endo().degree() == 2
+    assert ef.endo().degree() == 2
 
     ef = parse_endo_file("# comment\nring=Q kind=poly m=3\nX1 -> X2\nX2 -> X3\nX3 -> X1\n")
     assert ef.nvars == 3 and ef.n is None
@@ -84,6 +86,11 @@ def test_parse_endo_file_examples():
         ("ring=F2 kind=weyl n=1 m=9\nY1 -> Y1\nY2 -> Y2\n", "kind=weyl takes the header keys ring, kind and n once each"),
         ("ring=F2 kind=poly m=1 n=1\nX1 -> X1\n", "kind=poly takes the header keys ring, kind and m once each"),
         ("ring=Q kind=poisson n=1 seed=3\nX1 -> X1\nX2 -> X2\n", "kind=poisson takes the header keys ring, kind and n once each"),
+        # every numeral is ASCII digits: a superscript or Arabic-Indic digit is no numeral
+        ("ring=F2 kind=poly m=\u00b2\nX1 -> X1\n", "line 1, col 1: kind=poly needs m=<variable count>"),
+        ("ring=F2 kind=poly m=\u0661\nX1 -> X1\n", "line 1, col 1: kind=poly needs m=<variable count>"),
+        ("ring=F\u0665 kind=poly m=1\nX1 -> X1\n", "line 1, col 1: unknown ring literal"),
+        ("ring=F5 kind=poly m=1\nX1 -> X1 + \u0663\n", "line 2, col 7: unexpected character '\u0663'"),
     ],
 )
 def test_parse_endo_file_errors(text, fragment):
@@ -103,6 +110,36 @@ def test_round_trip_corpus():
     for text in corpus:
         ef = parse_endo_file(text)
         assert parse_endo_file(print_endo_file(ef)) == ef
+
+
+def _generated_maps():
+    """(kind, map) pairs: a symplectomorphism written as kind poly and as kind
+    poisson, a Weyl automorphism and (over a prime field, where they exist) a
+    central perturbation, at each ring and n = 1, 2, 3; then the Weyl corpus."""
+    for ring in (QQ, GF(2), GF(3), GF(5), GF(10007)):
+        for n in (1, 2, 3):
+            seed = 1000 * n + ring.p
+            symplectic = generate_symplectomorphism(PoissonContext(ring, n), seed, steps=3, max_degree=3)
+            yield "poly", symplectic
+            yield "poisson", symplectic
+            algebra = WeylAlgebra(ring, n)
+            yield "weyl", generate_weyl_automorphism(algebra, seed, steps=3, max_degree=3)
+            if ring.p:
+                yield "weyl", generate_central_perturbation(algebra, seed)
+    for endo in weyl_corpus():
+        yield "weyl", endo
+
+
+def test_round_trip_at_every_kind():
+    """Printing writes the header and letters that parsing declares, for every kind."""
+    for kind, endo in _generated_maps():
+        nvars = len(endo.images)
+        ef = EndoFile(endo.ring, kind, None if kind == "poly" else nvars // 2, nvars, endo.images)
+        text = print_endo_file(ef)
+        back = parse_endo_file(text)
+        assert back == ef, text
+        got = back.endo()
+        assert type(got) is type(endo) and got.images == endo.images, text
 
 
 def write(tmp_path, name, text):

@@ -112,6 +112,12 @@ def test_ring_literals():
     assert str(GF(3)) == "F3"
 
 
+@pytest.mark.parametrize("text", ["F\u00b2", "F\u0665", "Fp(\u0665)"])
+def test_ring_literal_takes_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="^unknown ring literal"):
+        ring_from_text(text)
+
+
 def test_coerce_maps_ints_and_fractions_into_the_ring():
     assert GF(5).coerce(7) == 2 and GF(5).coerce(-1) == 4
     assert GF(5).coerce(Fraction(1, 2)) == 3
