@@ -36,7 +36,6 @@ from .weyl import (
 from .reduction import (
     CenterEndo,
     check_center_symplectic,
-    check_degree_preservation,
     induced_center_endo,
 )
 from .conjectures import (

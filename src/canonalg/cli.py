@@ -32,7 +32,7 @@ from .conjectures import (
 from .parsing import EndoFile, ParseError, parse_endo_file
 from .poly import monomial_count
 from .poisson import PoissonContext, check_symplectic
-from .reduction import center_degree_report, check_center_symplectic
+from .reduction import check_center_symplectic
 from .report import build_report, dump_report, input_digest, record_fields
 from .rings import NonUnitError, is_numeral, ring_from_text
 from .weyl import WeylAlgebra, center_slice_check, verify_endo_relations
@@ -140,19 +140,20 @@ def _run_check_weyl_endo(args):
 
 def _run_reduce(args):
     ef, digest = _read(args, "weyl")
-    sym = check_center_symplectic(ef.endo())
-    degrees = center_degree_report(sym.center)
+    endo = ef.endo()
+    sym = check_center_symplectic(endo)  # first, so that the budget refusal comes first
+    deg_endo, deg_center = endo.degree(), sym.center.endo.degree()
     payload = {
         "ring": str(ef.ring),
         "n": ef.n,
         "center_images": [im.to_text() for im in sym.center.endo.images],
         "degree": {
-            "endomorphism": degrees.deg_endo,
-            "center": degrees.deg_center,
-            "equal": degrees.equal,
+            "endomorphism": deg_endo,
+            "center": deg_center,
+            "equal": deg_endo == deg_center,
         },
         "center_symplectic": sym.symplectic,
-        "falsification": (not degrees.equal) or (not sym.symplectic),
+        "falsification": deg_endo != deg_center or not sym.symplectic,
     }
     return (1 if payload["falsification"] else 0), payload, digest
 

@@ -130,17 +130,13 @@ class ColumnEchelon:
         self.combos.append(combo)
         return True
 
-    def solve(self, target: dict) -> dict | None:
-        """``{original column index: coefficient}`` with the columns summing
-        to ``target``, zero off the independent columns; None if none exists."""
-        return self.resolve(target, {})[1]
-
     def resolve(self, remainder: dict, combo: dict) -> tuple:
         """``(remainder, solution)`` of a right-hand side reduced so far to
-        ``remainder``, with ``combo`` (updated in place).  A stored column is
-        0 at the pivots stored before it, so a remainder cleared at the first
-        r pivots meets only later ones, taken in the order a from-scratch
-        :meth:`solve` takes them: the results are equal."""
+        ``remainder``, with ``combo`` (updated in place); the solution is
+        ``{original column index: coefficient}``, zero off the independent
+        columns, or None.  A stored column is 0 at the pivots stored before
+        it, so a remainder cleared at the first r pivots meets only later
+        ones, in the order of a from-scratch ``resolve(target, {})``, with equal results."""
         remainder = self._reduce(remainder, combo)
         if remainder:
             return remainder, None

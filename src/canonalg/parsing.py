@@ -79,7 +79,7 @@ def _tokenize(text: str, line_no: int = 0) -> list[tuple[str, object, int]]:
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", line_no, i + 1)
-    tokens.append(("end", None, len(text) + 1))
+    tokens.append(("end", "end of line", len(text) + 1))
     return tokens
 
 
@@ -237,7 +237,7 @@ class EndoFile:
 
 def parse_endo_file(text: str) -> EndoFile:
     lines = [
-        (i + 1, line.strip())
+        (i + 1, line)
         for i, line in enumerate(text.splitlines())
         if line.strip() and not line.strip().startswith("#")
     ]
@@ -283,7 +283,8 @@ def parse_endo_file(text: str) -> EndoFile:
             raise ParseError("missing '->'", line_no, 1)
         if lhs.strip() != expected:
             raise ParseError(f"expected image of {expected}, found {lhs.strip()!r}", line_no, 1)
-        images.append(_evaluate(rhs, line_no, variables, one))
+        # blanks in place of the name and the arrow, so every column counts from the start of the line
+        images.append(_evaluate(" " * (len(lhs) + 2) + rhs, line_no, variables, one))
     return EndoFile(ring=ring, kind=kind, n=n, nvars=nvars, images=tuple(images))
 
 

@@ -17,6 +17,7 @@ and the inverse search, on the packed-key monomial images of
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, lshift, mul
 from typing import Iterable, Iterator, Sequence
@@ -684,47 +685,32 @@ class PolyEndo(Endo):
 DET_WORK_BUDGET = 300_000
 
 
+@dataclass(frozen=True)
 class PolyMatrix:
-    """Rectangular grid of polynomials over one ring and variable count."""
+    """Rectangular grid of polynomials over one ring and variable count; the
+    rows are stored as tuples, whatever sequences they were given as."""
 
-    __slots__ = ("ring", "nvars", "rows")
+    ring: Ring
+    nvars: int
+    rows: tuple
 
-    def __init__(self, ring: Ring, nvars: int, rows: Sequence[Sequence[Poly]]):
-        width = len(rows[0]) if rows else 0
+    def __post_init__(self):
+        rows = tuple(tuple(row) for row in self.rows)
         for row in rows:
-            if len(row) != width:
+            if len(row) != len(rows[0]):
                 raise ValueError("ragged matrix")
             for entry in row:
-                if entry.ring != ring or entry.nvars != nvars:
+                if entry.ring != self.ring or entry.nvars != self.nvars:
                     raise ValueError("matrix entry over wrong ring or variable count")
-        self.ring = ring
-        self.nvars = nvars
-        self.rows = tuple(tuple(row) for row in rows)
-
-    @classmethod
-    def identity(cls, ring: Ring, nvars: int, size: int) -> "PolyMatrix":
-        one = Poly.one(ring, nvars)
-        zero = Poly.zero(ring, nvars)
-        return cls(ring, nvars, [[one if i == j else zero for j in range(size)] for i in range(size)])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.rows[i][j]
+        object.__setattr__(self, "rows", rows)
 
     def determinant(self) -> Poly:
         """Cofactor expansion along the first row, division-free.  Each minor
         it expands and each term pair its products form is one unit of work;
         past ``DET_WORK_BUDGET`` units it raises ``ValueError``."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
         rows, ring, nvars, left = self.rows, self.ring, self.nvars, DET_WORK_BUDGET
+        if rows and len(rows[0]) != len(rows):
+            raise ValueError("determinant of a non-square matrix")
 
         def det(i: int, cols: tuple) -> Poly:  # the minor on rows i.. and columns ``cols``
             nonlocal left
@@ -739,26 +725,14 @@ class PolyMatrix:
                 left -= 1 + len(entry.terms) * len(minor.terms)
                 if left < 0:
                     raise ValueError(
-                        f"the determinant of a {self.nrows}x{self.nrows} matrix exceeds the budget of "
+                        f"the determinant of a {len(rows)}x{len(rows)} matrix exceeds the budget of "
                         f"{DET_WORK_BUDGET} minors and term pairs"
                     )
                 cof = entry * minor
                 acc = acc + (cof if t % 2 == 0 else -cof)
             return acc
 
-        return det(0, tuple(range(self.nrows)))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyMatrix)
-            and self.ring == other.ring
-            and self.nvars == other.nvars
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        body = "; ".join(", ".join(e.to_text() for e in row) for row in self.rows)
-        return f"PolyMatrix[{body}]"
+        return det(0, tuple(range(len(rows))))
 
 
 def default_names(nvars: int, letter: str = "X") -> list[str]:

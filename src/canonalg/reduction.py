@@ -5,9 +5,9 @@ the p-th powers of the generators; writing X_i for Y_i^p, every relation-
 verified endomorphism restricts to a polynomial endomorphism of those 2n
 commutative variables.  The restriction is computed from the definition,
 on the endomorphism's packed-key monomial-image engine
-(:class:`canonalg.poly._Images`): the p-th power of each image is the image
-of the monomial Y_i^p, whose packed key is p units in Y_i's letter, built one
-letter at a time, each power replacing the last, under ``CENTER_WORK_BUDGET``.
+(:class:`canonalg.poly._Images`): the p-th power of each image is formed by
+p products by that image, each power replacing the last, under
+``CENTER_WORK_BUDGET``, and none is stored in the engine's cache.
 Its packed keys are read straight into exponents of the X_i
 (:func:`weyl.swap_blocks` orders the engine's fields), each checked to be
 divisible by p (the power is central) and divided by p; no Weyl element is
@@ -36,17 +36,9 @@ class CenterReductionError(AssertionError):
 
 @dataclass(frozen=True)
 class CenterEndo:
-    """Induced endomorphism on the center, tagged with its source."""
+    """Induced endomorphism on the center."""
 
     endo: PolyEndo
-    source: WeylEndo
-
-
-@dataclass(frozen=True)
-class DegreeReport:
-    deg_endo: int
-    deg_center: int
-    equal: bool
 
 
 @dataclass(frozen=True)
@@ -57,7 +49,7 @@ class CenterSymplecticReport:
 
 def induced_center_endo(endo: WeylEndo) -> CenterEndo:
     """The endomorphism induced on the center: sigma(Y_i)^p = sigma(Y_i^p),
-    the image of the monomial p units in Y_i's letter on one image engine.
+    p products by the image of Y_i's letter on one image engine.
     Each of its packed keys is read in the order of X_1..X_2n
     (:func:`swap_blocks` of the engine's shifts); every exponent must be
     divisible by p, and the quotients key its term in the X_i = Y_i^p."""
@@ -80,8 +72,6 @@ def induced_center_endo(endo: WeylEndo) -> CenterEndo:
             if work > CENTER_WORK_BUDGET:
                 raise ValueError(f"the center restriction over F{p} exceeds the budget of {CENTER_WORK_BUDGET} terms")
             power = images._times(power, right, lowers)
-        images.cache[p << shift] = power  # only the p-th power is kept; image() reads it back
-        power = images.image(p << shift)
         terms = {}
         for key, c in power.items():
             exps = [key >> s & mask for s in shifts]
@@ -90,19 +80,7 @@ def induced_center_endo(endo: WeylEndo) -> CenterEndo:
                 raise CenterReductionError(f"image {i} has non-central p-th power {text}")
             terms[tuple([e // p for e in exps])] = c
         out.append(zero._make(terms))
-    return CenterEndo(PolyEndo(ring, m, out), endo)
-
-
-def check_degree_preservation(endo: WeylEndo) -> DegreeReport:
-    """deg of the endomorphism and of its center restriction; must agree."""
-    return center_degree_report(induced_center_endo(endo))
-
-
-def center_degree_report(center: CenterEndo) -> DegreeReport:
-    """:func:`check_degree_preservation` on an already computed restriction."""
-    deg_endo = center.source.degree()
-    deg_center = center.endo.degree()
-    return DegreeReport(deg_endo, deg_center, deg_endo == deg_center)
+    return CenterEndo(PolyEndo(ring, m, out))
 
 
 def check_center_symplectic(endo: WeylEndo) -> CenterSymplecticReport:

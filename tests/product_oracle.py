@@ -153,7 +153,7 @@ def induced_center_endo(endo: WeylEndo) -> CenterEndo:
         if not is_central(power):
             raise CenterReductionError(f"image {i} has non-central p-th power {power.to_text()}")
         images.append(_read_central(power, p))
-    return CenterEndo(PolyEndo(ring, 2 * endo.algebra.n, images), endo)
+    return CenterEndo(PolyEndo(ring, 2 * endo.algebra.n, images))
 
 
 def read_central_by_hand(endo: WeylEndo) -> CenterEndo:
@@ -167,7 +167,7 @@ def read_central_by_hand(endo: WeylEndo) -> CenterEndo:
         Poly(alg.ring, 2 * alg.n, {tuple(e // p for e in d) + tuple(e // p for e in g): c for (g, d), c in power.terms.items()})
         for power in powers
     ]
-    return CenterEndo(PolyEndo(alg.ring, 2 * alg.n, images), endo)
+    return CenterEndo(PolyEndo(alg.ring, 2 * alg.n, images))
 
 
 def read_central_by_dequantize(endo: WeylEndo) -> CenterEndo:
@@ -186,7 +186,7 @@ def read_central_by_dequantize(endo: WeylEndo) -> CenterEndo:
             raise CenterReductionError(f"image {i} has non-central p-th power {power.to_text()}")
         f = dequantize(power)
         images.append(f._make({tuple(e // p for e in exps): c for exps, c in f.terms.items()}))
-    return CenterEndo(PolyEndo(ring, m, images), endo)
+    return CenterEndo(PolyEndo(ring, m, images))
 
 
 def evaluate(f: Poly, point):

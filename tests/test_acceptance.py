@@ -26,11 +26,7 @@ from canonalg.poisson import (
     poisson_bracket,
 )
 from canonalg.poly import Poly, PolyEndo
-from canonalg.reduction import (
-    check_center_symplectic,
-    check_degree_preservation,
-    induced_center_endo,
-)
+from canonalg.reduction import check_center_symplectic, induced_center_endo
 from canonalg.rings import GF, QQ
 from canonalg.weyl import (
     WeylAlgebra,
@@ -175,9 +171,9 @@ def test_criterion_5_center_restriction_properties(capsys, corpus):
         sym = check_center_symplectic(endo)
         if not sym.symplectic:
             failures.append((idx, "center restriction not symplectic", repr(endo)))
-        deg = check_degree_preservation(endo)
-        if not deg.equal:
-            failures.append((idx, f"degree {deg.deg_endo} != {deg.deg_center}", repr(endo)))
+        deg_endo, deg_center = endo.degree(), sym.center.endo.degree()
+        if deg_endo != deg_center:
+            failures.append((idx, f"degree {deg_endo} != {deg_center}", repr(endo)))
     ok = len(corpus) >= 100 and not failures
     report(
         capsys, 5, ok,

@@ -90,7 +90,11 @@ def test_parse_endo_file_examples():
         ("ring=F2 kind=poly m=\u00b2\nX1 -> X1\n", "line 1, col 1: kind=poly needs m=<variable count>"),
         ("ring=F2 kind=poly m=\u0661\nX1 -> X1\n", "line 1, col 1: kind=poly needs m=<variable count>"),
         ("ring=F\u0665 kind=poly m=1\nX1 -> X1\n", "line 1, col 1: unknown ring literal"),
-        ("ring=F5 kind=poly m=1\nX1 -> X1 + \u0663\n", "line 2, col 7: unexpected character '\u0663'"),
+        ("ring=F5 kind=poly m=1\nX1 -> X1 + \u0663\n", "line 2, col 12: unexpected character '\u0663'"),
+        # an expression's columns count from the start of its line as written
+        ("ring=F5 kind=poly m=1\n   X1 -> X1 + \u0663\n", "line 2, col 15: unexpected character '\u0663'"),
+        ("ring=F5 kind=poly m=1\nX1 -> X1 + X2\n", "line 2, col 12: undeclared variable 'X2'"),
+        ("ring=F5 kind=poly m=1\nX1 -> (X1\n", "line 2, col 10: expected ')', found 'end of line'"),
     ],
 )
 def test_parse_endo_file_errors(text, fragment):

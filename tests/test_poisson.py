@@ -62,7 +62,7 @@ def test_bracket_matrix_antisymmetric_for_arbitrary_maps():
         M = bracket_matrix(ctx, endo)
         for i in range(2):
             for j in range(2):
-                assert M.entry(i, j) == -M.entry(j, i)
+                assert M.rows[i][j] == -M.rows[j][i]
 
 
 def test_is_symplectic():

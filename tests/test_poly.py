@@ -146,24 +146,23 @@ def test_endo_degree():
 
 
 def test_jacobian_examples():
-    assert PolyEndo.identity(QQ, 2).jacobian() == PolyMatrix.identity(QQ, 2, 2)
+    one, zero = Poly.one(QQ, 2), Poly.zero(QQ, 2)
+    assert PolyEndo.identity(QQ, 2).jacobian() == PolyMatrix(QQ, 2, ((one, zero), (zero, one)))
 
     x1, x2 = X(QQ, 2, 1), X(QQ, 2, 2)
     J = PolyEndo(QQ, 2, [x1 + x2**2, x2]).jacobian()
-    assert J.entry(0, 0) == Poly.one(QQ, 2)
-    assert J.entry(0, 1) == x2.scale(QQ.of_int(2))
-    assert J.entry(1, 0).is_zero()
-    assert J.entry(1, 1) == Poly.one(QQ, 2)
+    assert J.rows == ((one, x2.scale(QQ.of_int(2))), (zero, one))
 
     for p in (2, 3):
         ring = GF(p)
         y1, y2 = X(ring, 2, 1), X(ring, 2, 2)
         frob = PolyEndo(ring, 2, [y1 - y1**p, y2])
-        assert frob.jacobian() == PolyMatrix.identity(ring, 2, 2)  # p X^(p-1) = 0
+        assert frob.jacobian() == PolyEndo.identity(ring, 2).jacobian()  # p X^(p-1) = 0
 
 
 def test_determinant_examples():
-    assert PolyMatrix.identity(QQ, 2, 4).determinant() == Poly.one(QQ, 2)
+    one, zero = Poly.one(QQ, 2), Poly.zero(QQ, 2)
+    assert PolyMatrix(QQ, 2, [[one if i == j else zero for j in range(4)] for i in range(4)]).determinant() == one
 
     x1, x2 = X(QQ, 2, 1), X(QQ, 2, 2)
     shear = PolyMatrix(QQ, 2, [[Poly.one(QQ, 2), x2.scale(QQ.of_int(2))], [Poly.zero(QQ, 2), Poly.one(QQ, 2)]])
@@ -174,6 +173,23 @@ def test_determinant_examples():
 
     with pytest.raises(ValueError):
         PolyMatrix(QQ, 2, [[x1, x2]]).determinant()
+
+
+def test_poly_matrix_checks_its_entries_and_stores_tuples():
+    x1, x2 = X(QQ, 2, 1), X(QQ, 2, 2)
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        PolyMatrix(QQ, 2, [[x1, x2], [x1]])
+    with pytest.raises(ValueError, match="^matrix entry over wrong ring or variable count$"):
+        PolyMatrix(QQ, 2, [[x1, X(GF(3), 2, 2)]])
+    with pytest.raises(ValueError, match="^matrix entry over wrong ring or variable count$"):
+        PolyMatrix(QQ, 2, [[x1, X(QQ, 3, 2)]])
+
+    from_lists = PolyMatrix(QQ, 2, [[x1, x2], [x2, x1]])
+    from_tuples = PolyMatrix(QQ, 2, ((x1, x2), (x2, x1)))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert from_lists.rows == ((x1, x2), (x2, x1))
+    with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+        PolyMatrix(QQ, 2, [[x1, x2], [x2, x1], [x1, x1]]).determinant()
 
 
 def test_determinant_against_permutation_sum():

@@ -60,7 +60,7 @@ def random_weyl(rng: random.Random, algebra: WeylAlgebra, max_degree: int, terms
 
 
 def det_permutation_sum(mat: PolyMatrix) -> Poly:
-    size = mat.nrows
+    size = len(mat.rows)
     acc = Poly.zero(mat.ring, mat.nvars)
     for perm in itertools.permutations(range(size)):
         sign = 1
@@ -78,7 +78,7 @@ def det_permutation_sum(mat: PolyMatrix) -> Poly:
                 sign = -sign
         prod = Poly.one(mat.ring, mat.nvars)
         for i in range(size):
-            prod = prod * mat.entry(i, perm[i])
+            prod = prod * mat.rows[i][perm[i]]
         acc = acc + (prod if sign == 1 else -prod)
     return acc
 
