@@ -37,10 +37,15 @@ def gabber_degree_bound(endo: PolyEndo) -> int:
 def inverse_search_poly(endo: PolyEndo, degree_cap: int) -> tuple[PolyEndo | None, int | None]:
     """Search for a compositional inverse with image degrees <= degree_cap.
 
-    One sparse system widened cap by cap, solved by :func:`linalg.solve_many`
-    once per cap, in increasing order (see :meth:`Endo.inverse_search`); any
-    solution is checked two-sided before being returned.
+    A unitriangular map (each image c * X_i plus terms of degree >= 2) has
+    its inverse read off by reducing each generator (see
+    :meth:`Endo.triangular_search`).  Any other map gets one sparse system
+    widened cap by cap, solved by :func:`linalg.solve_many` once per cap, in
+    increasing order (see :meth:`Endo.inverse_search`).  Both return the same
+    inverse at the same cap, checked two-sided.
     """
+    if endo.unitriangular():
+        return endo.triangular_search(degree_cap)
     return endo.inverse_search(degree_cap, solve_many)
 
 

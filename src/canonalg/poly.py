@@ -561,6 +561,52 @@ class Endo:
                 return inverse, cap
         return None, None
 
+    def triangular_search(self, degree_cap: int):
+        """:meth:`inverse_search` for a :meth:`PolyEndo.unitriangular` map,
+        whose every column, the image of a monomial X^b, is ``c * X^b`` plus
+        terms of higher total degree.  Each system then has at most one
+        solution, and reducing its packed target finds it: each key k of the
+        remainder's lowest degree takes ``f = remainder[k] / image(k)[k]`` in
+        the inverse, and ``f * image(k)`` is subtracted, leaving higher
+        degrees only.  So only the columns the remainder meets are formed.  A
+        lowest key above the cap means no cap up to ``degree_cap`` solves
+        that system: (None, None).  Otherwise the largest pivot degree (at
+        least 1) is the cap at which the linear search finds the same
+        inverse, and the inverse goes through the same two-sided check.
+        """
+        ring = self.ring
+        if not ring.is_field():
+            raise ValueError("inverse search needs field coefficients")
+        images = _Images(self, degree_cap)
+        targets = [{unit: ring.one()} for unit in images.units]  # the packed generators
+        p, inv, image, mask, shifts = ring.p, ring.inv, images.image, images.mask, images.shifts
+        # key * ones holds the key's total degree in its top field: every partial sum fits a field
+        ones, top = sum(images.units), shifts[-1]
+        index: dict = {}  # packed pivot key -> basis index, in the order first used
+        solutions, found = [], 1
+        for target in targets:
+            remainder, solution = target, {}
+            while remainder:
+                degrees = {k: k * ones >> top & mask for k in remainder}
+                low = min(degrees.values())
+                if low > degree_cap:
+                    return None, None
+                found = max(found, low)
+                sums = dict(remainder)
+                get = sums.get
+                for k, d in degrees.items():
+                    if d == low:
+                        column = image(k)
+                        f = remainder[k] * inv(column[k])
+                        f = f % p if p else f
+                        for q, v in column.items():
+                            sums[q] = get(q, 0) - f * v
+                        solution[index.setdefault(k, len(index))] = f
+                remainder = _reduced(sums, p)
+            solutions.append(solution)
+        basis = [tuple([k >> s & mask for s in shifts]) for k in index]
+        return self.checked_inverse(basis, solutions, images, targets), found
+
     def checked_inverse(self, basis: list, solutions: list, images: _Images, targets: list):
         """The inverse read off one cap's solutions, None if a system had none.
 
@@ -671,6 +717,15 @@ class PolyEndo(Endo):
 
     def _letter_images(self):
         return self.images
+
+    def unitriangular(self) -> bool:
+        """Whether each image is c * X_i, c != 0, plus terms of degree >= 2:
+        the maps :meth:`Endo.triangular_search` decides."""
+        n = self.nvars
+        return all(
+            [e for e in im.terms if sum(e) <= 1] == [tuple([int(j == i) for j in range(n)])]
+            for i, im in enumerate(self.images)
+        )
 
     compose = Endo.compose  # own attribute, so it can be wrapped per class
 

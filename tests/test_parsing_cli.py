@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -168,7 +169,7 @@ def test_cli_reduce_and_report_schema(tmp_path, monkeypatch):
     out = str(tmp_path / "report.json")
     assert main(["reduce", "--input", f, "--json", out]) == 0
     assert len(calls) == 1
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     validate_report(report)
     assert report["payload"]["center_images"] == ["X1", "X1^2 + X2"]
     assert report["payload"]["center_symplectic"] is True
@@ -201,14 +202,14 @@ def test_cli_reports_are_byte_identical(tmp_path):
     o1, o2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     main(["reduce", "--input", f, "--seed", "7", "--json", o1])
     main(["reduce", "--input", f, "--seed", "7", "--json", o2])
-    assert open(o1, "rb").read() == open(o2, "rb").read()
+    assert Path(o1).read_bytes() == Path(o2).read_bytes()
 
 
 def test_cli_check_symplectic_nonsymplectic_is_not_a_falsification(tmp_path):
     f = write(tmp_path, "scale.endo", SCALE_POISSON)
     out = str(tmp_path / "report.json")
     assert main(["check-symplectic", "--input", f, "--json", out]) == 0
-    payload = json.loads(open(out).read())["payload"]
+    payload = json.loads(Path(out).read_text())["payload"]
     assert payload["symplectic"] is False
     assert payload["det"] == "2"
 
@@ -217,11 +218,11 @@ def test_cli_check_weyl_endo(tmp_path):
     good = write(tmp_path, "good.endo", SHEAR_WEYL)
     out = str(tmp_path / "r.json")
     assert main(["check-weyl-endo", "--input", good, "--json", out]) == 0
-    assert json.loads(open(out).read())["payload"]["relations_hold"] is True
+    assert json.loads(Path(out).read_text())["payload"]["relations_hold"] is True
 
     bad = write(tmp_path, "bad.endo", BAD_WEYL)
     assert main(["check-weyl-endo", "--input", bad, "--json", out]) == 0
-    payload = json.loads(open(out).read())["payload"]
+    payload = json.loads(Path(out).read_text())["payload"]
     assert payload["relations_hold"] is False
     assert payload["witness"] == {"i": 1, "j": 2, "commutator": "-1"}
 
@@ -230,18 +231,18 @@ def test_cli_invert_both_kinds(tmp_path):
     f = write(tmp_path, "scale.endo", SCALE_POISSON)
     out = str(tmp_path / "r.json")
     assert main(["invert", "--input", f, "--json", out]) == 0
-    payload = json.loads(open(out).read())["payload"]
+    payload = json.loads(Path(out).read_text())["payload"]
     assert payload["status"] == "found"
     assert payload["inverse_images"] == ["1/2*X1", "X2"]
 
     g = write(tmp_path, "njc.endo", NJC_POLY)
     assert main(["invert", "--input", g, "--json", out]) == 0
-    payload = json.loads(open(out).read())["payload"]
+    payload = json.loads(Path(out).read_text())["payload"]
     assert payload["status"] == "none" and payload["certified_non_automorphism"] is True
 
     w = write(tmp_path, "shear.endo", SHEAR_WEYL)
     assert main(["invert-weyl", "--input", w, "--json", out]) == 0
-    payload = json.loads(open(out).read())["payload"]
+    payload = json.loads(Path(out).read_text())["payload"]
     assert payload["status"] == "found"
     assert payload["inverse_images"] == ["Y1", "Y1^2 + Y2"]  # -1 = 1 mod 2
 
@@ -256,12 +257,12 @@ def test_cli_invert_certifies_a_constant_map_at_bound_0(ring, text, tmp_path):
     out = str(tmp_path / "r.json")
     for cap in ([], ["--degree-cap", "2"]):
         assert main(["invert", "--input", f, *cap, "--json", out]) == 0
-        payload = json.loads(open(out).read())["payload"]
+        payload = json.loads(Path(out).read_text())["payload"]
         assert (payload["status"], payload["degree_bound"]) == ("none", 0)
         assert payload["certified_non_automorphism"] is True
         assert payload["searched_degree"] == (2 if cap else 0)
     assert main(["check-instance", "--tag", "CJC", "--input", f, "--json", out]) == 0
-    payload = json.loads(open(out).read())["payload"]
+    payload = json.loads(Path(out).read_text())["payload"]
     assert (payload["automorphism"], payload["certified_bound"], payload["searched_degree"]) == ("no", 0, 0)
 
 
@@ -269,7 +270,7 @@ def test_cli_check_instance_exit_codes(tmp_path):
     g = write(tmp_path, "njc.endo", NJC_POLY)
     out = str(tmp_path / "r.json")
     assert main(["check-instance", "--tag", "NJC", "--input", g, "--json", out]) == 1
-    payload = json.loads(open(out).read())["payload"]
+    payload = json.loads(Path(out).read_text())["payload"]
     assert payload["biconditional_holds"] is False
 
     assert main(["check-instance", "--tag", "CJC", "--input", g, "--json", out]) == 0
@@ -323,26 +324,26 @@ def test_cli_input_errors_exit_2(tmp_path):
 def test_cli_center_slice_kraus_suite_probe(tmp_path):
     out = str(tmp_path / "r.json")
     assert main(["center-slice", "--ring", "F2", "--n", "1", "--degree-cap", "4", "--json", out]) == 0
-    payload = json.loads(open(out).read())["payload"]
+    payload = json.loads(Path(out).read_text())["payload"]
     assert payload["match"] is True and payload["dimension_found"] == 6
 
     assert main(["kraus", "--p-max", "60", "--json", out]) == 0
-    payload = json.loads(open(out).read())["payload"]
+    payload = json.loads(Path(out).read_text())["payload"]
     assert payload["z_irreducible"] is True and payload["all_reducible"] is True
 
     assert main(["suite", "--p-max", "60", "--json", out]) == 0
-    assert json.loads(open(out).read())["payload"]["all_expected"] is True
+    assert json.loads(Path(out).read_text())["payload"]["all_expected"] is True
 
     w = write(tmp_path, "shear.endo", SHEAR_WEYL)
     assert main(["probe-chain", "--input", w, "--json", out]) == 0
-    assert json.loads(open(out).read())["payload"]["consistent"] is True
+    assert json.loads(Path(out).read_text())["payload"]["consistent"] is True
 
 
 def test_cli_report_envelope_fields(tmp_path):
     f = write(tmp_path, "shear.endo", SHEAR_WEYL)
     out = str(tmp_path / "r.json")
     main(["reduce", "--input", f, "--seed", "42", "--json", out])
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert report["tool"] == "canonalg"
     assert report["command"] == "reduce"
     assert report["seed"] == 42
@@ -401,6 +402,31 @@ def test_cli_corrupted_solution_exits_3(command, text, module, tmp_path, monkeyp
     monkeypatch.setattr(importlib.import_module(f"canonalg.{module}"), "solve_many", corrupting)
     out = tmp_path / "r.json"
     assert main([command, "--input", write(tmp_path, "map.endo", text), "--json", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error: AssertionError: ") and "(internal bug)" in err[0]
+    assert not out.exists()
+
+
+def test_cli_corrupted_reduction_exits_3(tmp_path, monkeypatch, capsys):
+    """A unitriangular map's inverse, read off by reduction rather than a
+    solve, is checked two-sided too: a wrong coefficient is an internal error."""
+    from canonalg.poly import Endo
+
+    check = Endo.checked_inverse
+
+    def corrupting(self, basis, solutions, images, targets):
+        i = next(iter(solutions[0]))
+        solutions[0][i] = self.ring.add(solutions[0][i], self.ring.one())
+        return check(self, basis, solutions, images, targets)
+
+    text = "ring=F3 kind=poly m=2\nX1 -> X1 + 2*X2^2\nX2 -> 2*X2\n"
+    assert parse_endo_file(text).endo().unitriangular()
+    path = write(tmp_path, "map.endo", text)
+    assert main(["invert", "--input", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(Endo, "checked_inverse", corrupting)
+    out = tmp_path / "r.json"
+    assert main(["invert", "--input", path, "--json", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("internal error: AssertionError: ") and "(internal bug)" in err[0]
     assert not out.exists()

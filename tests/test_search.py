@@ -18,7 +18,7 @@ import pytest
 import search_oracle
 import linalg_oracle as oracle
 from linalg_oracle import scatter_rows
-from util import random_poly, weyl_corpus
+from util import random_coeff, random_poly, weyl_corpus
 
 import canonalg.conjectures as conjectures
 import canonalg.poly as poly
@@ -33,6 +33,7 @@ from canonalg.conjectures import (
     inverse_search_poly,
 )
 from canonalg.linalg import SparseMatrix, solve_many
+from canonalg.reduction import induced_center_endo
 from canonalg.poisson import PoissonContext, coordinate_shear, generate_symplectomorphism, momentum_shear
 from canonalg.poly import Endo, Poly, PolyEndo, _Images, compositions, monomial_count, monomials_upto
 from canonalg.rings import GF, QQ, ZZ
@@ -140,6 +141,75 @@ def test_frobenius_deficit_maps_match_the_oracle(p):
     assert inverse_search(endo, 6) == search_oracle.inverse_search(endo, 6) == (None, None)
 
 
+def high_terms(rng, ring, nvars: int, variables, degree: int) -> Poly:
+    """One or two seeded terms of total degree 2..degree in ``variables`` (0-based)."""
+    acc = Poly.zero(ring, nvars)
+    for _ in range(rng.randint(1, 2)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(2, degree)):
+            exps[rng.choice(variables)] += 1
+        acc = acc + Poly.monomial(ring, nvars, exps, random_coeff(rng, ring, nonzero=True))
+    return acc
+
+
+def unitriangular_maps(ring, nvars: int, seed: int) -> list[PolyEndo]:
+    """Seeded maps c_i X_i + terms of degree >= 2: one with terms in every
+    variable (mostly not invertible), two triangular automorphisms (X_i's
+    terms in the later variables, or in the earlier ones) and, for m <= 2,
+    their composite, whose inverse has a higher degree."""
+    rng = random.Random(seed)
+    x = PolyEndo.identity(ring, nvars).images
+    degree = 3 if nvars <= 2 else 2
+
+    def built(variables) -> PolyEndo:
+        images = [x[i].scale(random_coeff(rng, ring, nonzero=True)) for i in range(nvars)]
+        terms = [high_terms(rng, ring, nvars, v, degree) if v else Poly.zero(ring, nvars) for v in variables]
+        return PolyEndo(ring, nvars, [im + t for im, t in zip(images, terms)])
+
+    maps = [
+        built([range(nvars)] * nvars),
+        built([range(i + 1, nvars) for i in range(nvars)]),
+        built([range(i) for i in range(nvars)]),
+    ]
+    return maps + [maps[1].compose(maps[2])] if nvars <= 2 else maps
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_triangular_search_matches_the_oracle_at_every_cap(ring):
+    """The oracle searched to the top cap answers every lower cap too: found
+    at f, it finds the same inverse at every cap >= f and none below."""
+    found = set()
+    for nvars in range(1, 5):
+        top = 6 if nvars <= 2 else 4  # the dense oracle over 4 variables at cap 6 takes seconds a map
+        for endo in unitriangular_maps(ring, nvars, 100 * nvars):
+            assert endo.unitriangular(), repr(endo)
+            inverse, degree = search_oracle.inverse_search(endo, top)
+            for cap in range(top + 1):
+                want = (inverse, degree) if inverse is not None and degree <= cap else (None, None)
+                assert endo.triangular_search(cap) == want, (repr(endo), cap)
+            found.add(degree)
+    assert None in found and len(found) >= 4  # both outcomes, inverses of several degrees
+
+
+def test_unitriangular_needs_exactly_c_times_its_own_variable_below_degree_2():
+    x1, x2 = PolyEndo.identity(GF(5), 2).images
+    one = Poly.one(GF(5), 2)
+    assert PolyEndo(GF(5), 2, [x1.scale(3) + x2**2, x2 + x1**2 * x2]).unitriangular()
+    for images in ([x1 + x2, x2], [x1 + one, x2], [x2, x1], [x1**2, x2], [x1, x2 * x2]):
+        assert not PolyEndo(GF(5), 2, images).unitriangular(), images
+
+
+def test_corpus_center_restrictions_decide_alike_through_either_route(monkeypatch):
+    """The reduction route and the linear one give σ|Z the same record, inverse included."""
+    centers = [induced_center_endo(endo).endo for endo in weyl_corpus()]
+    triangular = [center.unitriangular() for center in centers]
+    decisions = [decide_poly_automorphism(center) for center in centers]
+    monkeypatch.setattr(PolyEndo, "unitriangular", lambda self: False)
+    assert [decide_poly_automorphism(center) for center in centers] == decisions
+    assert 0 < sum(triangular) < len(centers)
+    assert {d.status for d, t in zip(decisions, triangular) if t} == {"yes", "no", "unknown"}
+
+
 def test_reach_map_matches_the_oracle_at_cap_8():
     phi = generate_central_perturbation(WeylAlgebra(GF(2), 2), 5)
     assert inverse_search(phi, 8) == search_oracle.inverse_search(phi, 8) == (None, None)
@@ -207,7 +277,8 @@ def test_searches_solve_once_per_cap_through_their_modules_solve_many(which, mon
     if which == "weyl":
         endo, search = generate_central_perturbation(WeylAlgebra(GF(2), 2), 5), inverse_search
     else:
-        endo, search = frobenius_deficit_poly(GF(3), 2), inverse_search_poly
+        x1, x2 = PolyEndo.identity(GF(3), 2).images  # not unitriangular: X1 -> X2
+        endo, search = PolyEndo(GF(3), 2, [x2, x1 - x1**3]), inverse_search_poly
     sizes = []
 
     def counting(ring, matrix, rhs):
@@ -217,6 +288,18 @@ def test_searches_solve_once_per_cap_through_their_modules_solve_many(which, mon
     monkeypatch.setattr(module, "solve_many", counting)
     assert search(endo, 5) == (None, None)
     assert sizes == [len(monomials_upto(len(endo.images), cap)) for cap in range(1, 6)]
+
+
+def test_a_unitriangular_map_is_decided_without_solve_many(monkeypatch):
+    """The Frobenius deficit map X1 - X1^p, X2 takes the reduction route."""
+
+    def refusing(ring, matrix, rhs):
+        raise AssertionError("solve_many called")
+
+    monkeypatch.setattr(conjectures, "solve_many", refusing)
+    endo = frobenius_deficit_poly(GF(3), 2)
+    assert endo.unitriangular() and inverse_search_poly(endo, 5) == (None, None)
+    assert decide_poly_automorphism(endo) == conjectures.AutomorphismDecision("no", None, 3, 3)
 
 
 def test_searches_refuse_integer_coefficients_at_every_cap():
@@ -322,7 +405,7 @@ def test_checked_inverse_matches_the_two_compose_oracle(monkeypatch):
     assert 100 < sum(outcomes) < len(outcomes)  # both outcomes, many inverses
 
 
-@pytest.mark.parametrize("which", ["weyl", "poly"])
+@pytest.mark.parametrize("which", ["weyl", "poly", "unitriangular"])
 def test_a_found_inverse_costs_two_engines_and_no_compose(which, monkeypatch):
     """The search's engine and one of the inverse's: the check composes nothing."""
     if which == "weyl":
@@ -332,7 +415,8 @@ def test_a_found_inverse_costs_two_engines_and_no_compose(which, monkeypatch):
         search = inverse_search
     else:
         x1, x2 = Poly.variable(QQ, 2, 1), Poly.variable(QQ, 2, 2)
-        endo, search = PolyEndo(QQ, 2, [x1 + x2**3, x2 + x1 + x2**3]), inverse_search_poly
+        images = [x1 + x2**3, x2 + x1 + x2**3] if which == "poly" else [x1 + x2**3, x2.scale(2)]
+        endo, search = PolyEndo(QQ, 2, images), inverse_search_poly
     engines = []
 
     class Counting(_Images):
