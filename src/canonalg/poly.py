@@ -322,12 +322,13 @@ class _Images:
     Packing follows Monagan and Pearce (POLY, Maple 17, 2013); public
     ``terms`` keep their tuple keys.  A ``width`` passed in (one that
     bounds the exponents) replaces the one ``max_degree`` sets.
+    ``generators`` are the packed generators, in generator order.
     """
 
-    __slots__ = ("p", "width", "mask", "shifts", "units", "letters", "weights", "cache")
+    __slots__ = ("p", "width", "mask", "shifts", "units", "letters", "weights", "cache", "generators")
 
     def __init__(self, endo: "Endo", max_degree: int, width: int | None = None):
-        letters = [[(im._flat(key), c) for key, c in im.terms.items()] for im in endo._letter_images()]
+        letters = [[(im._flat(key), c) for key, c in im.terms.items()] for im in endo._letter_order(endo.images)]
         top = max([sum(flat) for terms in letters for flat, _ in terms], default=0)
         self.width = width = width or (max_degree * max(top, 1)).bit_length() or 1
         self.mask = (1 << width) - 1
@@ -345,14 +346,10 @@ class _Images:
                 right.append((self.pack(flat), c, lows))
             self.letters.append((right, any([lows for _, _, lows in right])))
         self.cache = {0: {0: endo.ring.one()}}
+        self.generators = [{unit: endo.ring.one()} for unit in endo._letter_order(units)]
 
     def pack(self, flat) -> int:
         return sum(map(lshift, flat, self.shifts))
-
-    def packed(self, elem) -> dict:
-        """An element's terms on packed keys."""
-        pack, flat = self.pack, elem._flat
-        return {pack(flat(key)): c for key, c in elem.terms.items()}
 
     def unpacked(self, terms: dict, elem):
         """The element of ``elem``'s space with the given packed terms."""
@@ -384,7 +381,7 @@ class _Images:
         return cache[key]
 
     def graded(self, degree: int) -> list:
-        """``(exponents, image)`` of each monomial of total degree ``degree``,
+        """``(packed key, image)`` of each monomial of total degree ``degree``,
         in graded order, each image cached.
 
         Asked for the degrees in order, as the search does, every monomial of
@@ -395,11 +392,11 @@ class _Images:
         """
         cache, times, letters = self.cache, self._times, self.letters
         if not degree:
-            return [((0,) * len(letters), cache[0])]
+            return [(0, cache[0])]
         out = []
-        for b, key, prefix, j in _graded_plan(degree, len(letters), self.width):
+        for key, prefix, j in _graded_plan(degree, len(letters), self.width):
             cache[key] = image = times(cache[prefix], *letters[j])
-            out.append((b, image))
+            out.append((key, image))
         return out
 
     def _times(self, left: dict, right: list, lowers: bool) -> dict:
@@ -450,7 +447,7 @@ class _Images:
 
 @lru_cache(maxsize=256)  # keyed on no map data: every engine with this letter count and width shares it
 def _graded_plan(degree: int, letters: int, width: int) -> tuple:
-    """``(exponents, packed key, prefix key, last letter)`` of each monomial
+    """``(packed key, prefix key, last letter)`` of each monomial
     of total degree ``degree`` >= 1 in ``letters`` letters, in graded order,
     keys packed ``width`` bits a letter as :class:`_Images` packs them; the
     prefix is the monomial without one unit of its last letter."""
@@ -459,7 +456,7 @@ def _graded_plan(degree: int, letters: int, width: int) -> tuple:
     for b in compositions(degree, letters):
         key = sum(map(lshift, b, shifts))
         j = (key.bit_length() - 1) // width
-        plan.append((b, key, key - (1 << shifts[j]), j))
+        plan.append((key, key - (1 << shifts[j]), j))
     return tuple(plan)
 
 
@@ -475,9 +472,8 @@ class Endo:
 
     The base of :class:`PolyEndo` and :class:`canonalg.weyl.WeylEndo`.  A
     subclass supplies ``ring``, ``_space`` (the constructor arguments before
-    the images), its generators, ``_letter_images`` (the images in the
-    letter order of the flattened term keys) and, where letters do not
-    commute, ``_leibniz``.
+    the images), its generators and, where letters do not commute,
+    ``_leibniz`` and ``_letter_order``.
 
     A monomial's image is the image of the monomial without its last letter
     times that letter's image.  That holds in normal order too: the last
@@ -498,6 +494,11 @@ class Endo:
     def is_identity(self) -> bool:
         """Every image is its generator; public API, the benchmark's inverse check."""
         return list(self.images) == self._generators()
+
+    @staticmethod
+    def _letter_order(seq: Sequence) -> Sequence:
+        """A per-generator list in the letter order of the flat keys, and back: the same here."""
+        return seq
 
     def _leibniz(self) -> tuple:
         """(letter pairs (position, derivation) of the flat key, their weight
@@ -547,44 +548,41 @@ class Endo:
         if not ring.is_field():
             raise ValueError("inverse search needs field coefficients")
         images = _Images(self, degree_cap)
-        targets = [images.packed(t) for t in self._generators()]
         matrix = SparseMatrix()
-        rhs = [matrix.vector(t) for t in targets]
-        basis: list = []
+        rhs = [matrix.vector(t) for t in images.generators]
+        keys: list = []  # the packed monomial of each column
         for cap in range(1, degree_cap + 1):
             for degree in (0, 1) if cap == 1 else (cap,):
-                for b, column in images.graded(degree):
+                for key, column in images.graded(degree):
                     matrix.append(column)
-                    basis.append(b)
-            inverse = self.checked_inverse(basis, solve_many(ring, matrix, rhs), images, targets)
+                    keys.append(key)
+            solutions = [x and {keys[i]: c for i, c in x.items()} for x in solve_many(ring, matrix, rhs)]
+            inverse = self.checked_inverse(solutions, images)
             if inverse is not None:
                 return inverse, cap
         return None, None
 
     def triangular_search(self, degree_cap: int):
-        """:meth:`inverse_search` for a :meth:`PolyEndo.unitriangular` map,
-        whose every column, the image of a monomial X^b, is ``c * X^b`` plus
-        terms of higher total degree.  Each system then has at most one
-        solution, and reducing its packed target finds it: each key k of the
-        remainder's lowest degree takes ``f = remainder[k] / image(k)[k]`` in
-        the inverse, and ``f * image(k)`` is subtracted, leaving higher
-        degrees only.  So only the columns the remainder meets are formed.  A
-        lowest key above the cap means no cap up to ``degree_cap`` solves
-        that system: (None, None).  Otherwise the largest pivot degree (at
-        least 1) is the cap at which the linear search finds the same
-        inverse, and the inverse goes through the same two-sided check.
+        """:meth:`inverse_search` for a map whose every column, sigma(X^b), is
+        ``c * X^b`` plus terms of higher total degree (a
+        :meth:`PolyEndo.unitriangular` map, or a Weyl map c_i * Y_i + central).
+        Each system has at most one solution, and reducing its packed target
+        finds it: each key k of the remainder's lowest degree takes
+        ``f = remainder[k] / image(k)[k]``, and ``f * image(k)`` is subtracted,
+        so only the columns the remainder meets are formed.  A lowest key above
+        the cap means no cap up to ``degree_cap`` solves it: (None, None).
+        Otherwise the largest pivot degree (at least 1) is the cap at which the
+        linear search finds the same inverse, checked the same way.
         """
         ring = self.ring
         if not ring.is_field():
             raise ValueError("inverse search needs field coefficients")
         images = _Images(self, degree_cap)
-        targets = [{unit: ring.one()} for unit in images.units]  # the packed generators
-        p, inv, image, mask, shifts = ring.p, ring.inv, images.image, images.mask, images.shifts
+        p, inv, image, mask = ring.p, ring.inv, images.image, images.mask
         # key * ones holds the key's total degree in its top field: every partial sum fits a field
-        ones, top = sum(images.units), shifts[-1]
-        index: dict = {}  # packed pivot key -> basis index, in the order first used
+        ones, top = sum(images.units), images.shifts[-1]
         solutions, found = [], 1
-        for target in targets:
+        for target in images.generators:
             remainder, solution = target, {}
             while remainder:
                 degrees = {k: k * ones >> top & mask for k in remainder}
@@ -601,35 +599,34 @@ class Endo:
                         f = f % p if p else f
                         for q, v in column.items():
                             sums[q] = get(q, 0) - f * v
-                        solution[index.setdefault(k, len(index))] = f
+                        solution[k] = f
                 remainder = _reduced(sums, p)
             solutions.append(solution)
-        basis = [tuple([k >> s & mask for s in shifts]) for k in index]
-        return self.checked_inverse(basis, solutions, images, targets), found
+        return self.checked_inverse(solutions, images), found
 
-    def checked_inverse(self, basis: list, solutions: list, images: _Images, targets: list):
+    def checked_inverse(self, solutions: list, images: _Images):
         """The inverse read off one cap's solutions, None if a system had none.
 
-        Each solution maps basis indices to coefficients.  The candidate psi
-        is built through the subclass constructor (a Weyl one verifies the
-        relations) and checked two-sided against ``targets``, the packed
-        generators: ``self(psi(Y_i))`` sums cached basis images on the
-        search's engine ``images``, ``psi(self(Y_i))`` is formed on an engine
-        of psi's at that engine's width (deg psi <= cap, so it bounds the
-        exponents), and nothing is unpacked.  A one-sided solution makes this map
+        Each solution maps packed monomial keys to coefficients.  The
+        candidate psi is built through the subclass constructor (a Weyl one
+        verifies the relations) and checked two-sided against
+        ``images.generators``: ``self(psi(Y_i))`` sums cached basis images on
+        the search's engine ``images``, ``psi(self(Y_i))`` is formed on an
+        engine of psi's at that engine's width (deg psi <= cap, so it bounds
+        the exponents), and nothing is unpacked.  A one-sided solution makes this map
         surjective, hence injective (the rings are Noetherian), so any
         failure here, the relation check included, is an internal bug.
         """
         if any(sol is None for sol in solutions):
             return None
         one = self.images[0]._one()
-        candidate = [one._make({one._unflat(basis[i]): c for i, c in sol.items()}) for sol in solutions]
+        candidate = [images.unpacked(sol, one) for sol in solutions]
         try:
             inverse = type(self)(*self._space(), candidate)
         except ValueError as exc:  # a Weyl candidate that breaks the relations
             raise AssertionError(f"inverse candidate is not an endomorphism: {exc} (internal bug)") from exc
-        pack, back = images.pack, _Images(inverse, 0, images.width)
-        after = [images.linear([(pack(basis[i]), c) for i, c in sol.items()]) for sol in solutions]
+        targets, back = images.generators, _Images(inverse, 0, images.width)
+        after = [images.linear(sol.items()) for sol in solutions]
         if after != targets or [back.linear(images.linear(t.items()).items()) for t in targets] != targets:
             raise AssertionError("one-sided inverse failed the two-sided check (internal bug)")
         return inverse
@@ -714,9 +711,6 @@ class PolyEndo(Endo):
 
     def _generators(self) -> list[Poly]:
         return [Poly.variable(self.ring, self.nvars, i) for i in range(1, self.nvars + 1)]
-
-    def _letter_images(self):
-        return self.images
 
     def unitriangular(self) -> bool:
         """Whether each image is c * X_i, c != 0, plus terms of degree >= 2:

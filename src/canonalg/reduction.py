@@ -9,9 +9,9 @@ on the endomorphism's packed-key monomial-image engine
 p products by that image, each power replacing the last, under
 ``CENTER_WORK_BUDGET``, and none is stored in the engine's cache.
 Its packed keys are read straight into exponents of the X_i
-(:func:`weyl.swap_blocks` orders the engine's fields), each checked to be
-divisible by p (the power is central) and divided by p; no Weyl element is
-formed.  A failed check is an internal error, not data.
+(the map's ``_letter_order`` puts the engine's fields in generator order),
+each checked to be divisible by p (the power is central) and divided by p;
+no Weyl element is formed.  A failed check is an internal error, not data.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import prod
 
 from .poisson import PoissonContext, is_symplectic
 from .poly import Poly, PolyEndo, _Images
-from .weyl import WeylEndo, swap_blocks
+from .weyl import WeylEndo
 
 
 # Terms the p products per generator of one restriction may form, bounded before
@@ -51,7 +51,7 @@ def induced_center_endo(endo: WeylEndo) -> CenterEndo:
     """The endomorphism induced on the center: sigma(Y_i)^p = sigma(Y_i^p),
     p products by the image of Y_i's letter on one image engine.
     Each of its packed keys is read in the order of X_1..X_2n
-    (:func:`swap_blocks` of the engine's shifts); every exponent must be
+    (``endo._letter_order`` of the engine's shifts); every exponent must be
     divisible by p, and the quotients key its term in the X_i = Y_i^p."""
     alg = endo.algebra
     ring, m = alg.ring, alg.ngens
@@ -59,12 +59,11 @@ def induced_center_endo(endo: WeylEndo) -> CenterEndo:
     if p == 0:
         raise ValueError("center reduction needs prime-field coefficients")
     images = _Images(endo, p)
-    mask, shifts = images.mask, swap_blocks(images.shifts)
+    mask, shifts = images.mask, endo._letter_order(images.shifts)
     zero = Poly.zero(ring, m)
     out = []
     work = 0
-    for i, shift in enumerate(shifts, start=1):
-        right, lowers = images.letters[shift // images.width]
+    for i, (right, lowers) in enumerate(endo._letter_order(images.letters), start=1):
         formed = sum(prod([min(b, p - 1) + 1 for _, b, _ in lows]) for _, _, lows in right)
         power = images.cache[0]
         for _ in range(p):

@@ -34,10 +34,11 @@ independent test of that identity.
 The algebra quantizes the canonical Poisson algebra in 2n variables: the
 normal-ordering map :func:`quantize` sends X_i to Y_i and :func:`dequantize`
 reads it back, both through :func:`swap_blocks`, the one statement of the
-block layout, which the center restriction also reads.  The elementary
-automorphisms (shears, pair swaps, unit scalings) are the quantized ones of
-:mod:`canonalg.poisson`; each of their image terms lies in one block, whose
-letters commute, so normal ordering is exact on them.
+block layout; as ``WeylEndo._letter_order`` it orders the image engine's
+letters and packed generators.  The elementary automorphisms (shears, pair
+swaps, unit scalings) are the quantized ones of :mod:`canonalg.poisson`;
+each of their image terms lies in one block, whose letters commute, so
+normal ordering is exact on them.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ from .poly import _reduced, random_block_poly, random_unit
 from .rings import Ring
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def swap_blocks(seq: Sequence) -> tuple:
+    """The block layout, either way: X_1..X_2n (derivations first) are the
+    flat letters of a normal-ordered key (positions first) with the halves
+    swapped; so is any per-generator list (:meth:`WeylEndo._letter_order`)."""
+    n = len(seq) // 2
+    return tuple(seq[n:]) + tuple(seq[:n])
 
 
 class RelationError(ValueError):
@@ -265,10 +274,7 @@ class WeylEndo(Endo):
     def _generators(self) -> list[WeylElement]:
         return self.algebra.generators()
 
-    def _letter_images(self):
-        """Images of the position block, then of the derivation block."""
-        n = self.algebra.n
-        return self.images[n:] + self.images[:n]
+    _letter_order = staticmethod(swap_blocks)  # the position block's letters come first
 
     def _leibniz(self) -> tuple:
         """Position letter i meets derivation letter n + i of the flat key."""
@@ -284,14 +290,6 @@ def inverse_degree_bound(endo: WeylEndo) -> int:
 
 
 # -- quantization of the canonical Poisson algebra -------------------------------
-
-
-def swap_blocks(seq: Sequence) -> tuple:
-    """The block layout, either way: X_1..X_2n (derivations first) are the
-    flat letters of a normal-ordered key (positions first) with the halves
-    swapped; so is any per-letter list, an image engine's shifts too."""
-    n = len(seq) // 2
-    return tuple(seq[n:]) + tuple(seq[:n])
 
 
 def quantize(algebra: WeylAlgebra, f: Poly) -> WeylElement:
@@ -411,11 +409,6 @@ class CenterSliceReport:
     match: bool
 
 
-def slice_monomials(algebra: WeylAlgebra, max_degree: int) -> list[TermKey]:
-    n = algebra.n
-    return [(exps[:n], exps[n:]) for exps in monomials_upto(2 * n, max_degree)]
-
-
 def center_slice_check(algebra: WeylAlgebra, degree_cap: int) -> CenterSliceReport:
     """Compare the joint ad-kernel on the degree slice with the p-divisible span.
 
@@ -433,7 +426,7 @@ def center_slice_check(algebra: WeylAlgebra, degree_cap: int) -> CenterSliceRepo
     p = ring.characteristic()
     if p == 0:
         raise ValueError("center slice check needs a prime field")
-    basis = slice_monomials(algebra, degree_cap)
+    basis = [WeylElement._unflat(e) for e in monomials_upto(algebra.ngens, degree_cap)]
     expected = {key for key in basis if all(e % p == 0 for pair in key for e in pair)}
 
     generators = algebra.generators()

@@ -88,7 +88,7 @@ def apply(endo, f):
     """``endo(f)`` term by term: each monomial image is a product of letter
     images, left to right, then scaled and summed through ``Ring``."""
     ring = endo.ring
-    letters = endo._letter_images()
+    letters = endo._letter_order(endo.images)
     one = endo.images[0]._one()
     add, mul, zero = ring.add, ring.mul, ring.zero()
     out: dict = {}

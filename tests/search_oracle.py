@@ -45,7 +45,7 @@ def image_cache(self) -> dict:
 
 
 def monomial_image(self, flat: Exponents, cache: dict):
-    letters = self._letter_images()
+    letters = self._letter_order(self.images)
     chain = []
     while flat not in cache:
         j = max(k for k, e in enumerate(flat) if e)

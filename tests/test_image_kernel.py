@@ -122,12 +122,11 @@ def test_graded_plan_is_compositions_packed_with_prefixes(letters, width):
     for degree in range(9):
         exponents = list(compositions(degree, letters))
         if not degree:  # the empty monomial has no prefix: graded answers it from the cache
-            assert packing.graded(0) == [(exponents[0], {0: 1})]
+            assert packing.graded(0) == [(packing.pack(exponents[0]), {0: 1})]
             continue
         plan = _graded_plan(degree, letters, width)
-        assert [b for b, _, _, _ in plan] == exponents
-        for b, key, prefix, j in plan:
-            assert key == packing.pack(b)
+        assert [key for key, _, _ in plan] == [packing.pack(b) for b in exponents]
+        for b, (key, prefix, j) in zip(exponents, plan):
             assert j == max(k for k, e in enumerate(b) if e)
             assert prefix == key - packing.units[j] == packing.pack(b[:j] + (b[j] - 1,) + b[j + 1 :])
 

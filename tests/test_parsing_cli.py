@@ -414,10 +414,10 @@ def test_cli_corrupted_reduction_exits_3(tmp_path, monkeypatch, capsys):
 
     check = Endo.checked_inverse
 
-    def corrupting(self, basis, solutions, images, targets):
+    def corrupting(self, solutions, images):
         i = next(iter(solutions[0]))
         solutions[0][i] = self.ring.add(solutions[0][i], self.ring.one())
-        return check(self, basis, solutions, images, targets)
+        return check(self, solutions, images)
 
     text = "ring=F3 kind=poly m=2\nX1 -> X1 + 2*X2^2\nX2 -> 2*X2\n"
     assert parse_endo_file(text).endo().unitriangular()

@@ -46,6 +46,7 @@ from canonalg.weyl import (
     generate_weyl_automorphism,
     inverse_degree_bound,
     inverse_search,
+    pair_scaling,
     quantized,
 )
 
@@ -64,6 +65,8 @@ def engine_images_match_the_oracle(endo, cap: int) -> None:
     """Every monomial image up to ``cap``, from the packed-key engine, equals
     the tuple chain's in keys, values and dict order."""
     images, cache = _Images(endo, cap), search_oracle.image_cache(endo)
+    packed = [{images.pack(g._flat(key)): c for key, c in g.terms.items()} for g in endo._generators()]
+    assert images.generators == packed, repr(endo)
     one = endo.images[0]._one()
     for b in monomials_upto(len(endo.images), cap):
         got = images.unpacked(images.image(images.pack(b)), one)
@@ -191,6 +194,36 @@ def test_triangular_search_matches_the_oracle_at_every_cap(ring):
     assert None in found and len(found) >= 4  # both outcomes, inverses of several degrees
 
 
+def central_tail_maps(p: int, n: int, count: int) -> list:
+    """``count`` seeded central perturbations Y_i -> Y_i + (central), then,
+    over F3 and F5, each after a scaling of every pair, so c_i != 1 (over F2
+    every unit is 1)."""
+    algebra = WeylAlgebra(GF(p), n)
+    maps = [generate_central_perturbation(algebra, 900 + 10 * p + n + 100 * s) for s in range(count)]
+    if p == 2:
+        return maps
+    scaling = pair_scaling(algebra, 1, 2)
+    for i in range(2, n + 1):
+        scaling = scaling.compose(pair_scaling(algebra, i, p - 1))
+    return maps + [scaling.compose(endo) for endo in maps]
+
+
+def test_triangular_search_on_weyl_central_tails_matches_the_linear_search():
+    """A Weyl map Y_i -> c_i * Y_i + (central) has every column c^b * Y^b plus
+    terms of higher degree, so the triangular search decides it, with the
+    packed generators as targets in generator order (Y_1..Y_n, the
+    derivations, are not the first letters of a key)."""
+    found = []
+    for p in (2, 3, 5):
+        for n in (1, 2):
+            for endo in central_tail_maps(p, n, 10):
+                for cap in range(7):
+                    want = inverse_search(endo, cap)
+                    assert endo.triangular_search(cap) == want, (repr(endo), cap)
+                found.append(want[1])
+    assert found.count(None) > 10 and len(set(found)) >= 4, found  # both outcomes, inverses of several degrees
+
+
 def test_unitriangular_needs_exactly_c_times_its_own_variable_below_degree_2():
     x1, x2 = PolyEndo.identity(GF(5), 2).images
     one = Poly.one(GF(5), 2)
@@ -254,7 +287,8 @@ def search_columns_match_the_oracle(endo, cap: int) -> None:
     assert len(columns) == len(basis)
     images, cache = _Images(endo, cap), search_oracle.image_cache(endo)
     for b, column in zip(basis, columns):
-        want = images.packed(search_oracle.monomial_image(endo, b, cache))
+        elem = search_oracle.monomial_image(endo, b, cache)
+        want = {images.pack(elem._flat(key)): c for key, c in elem.terms.items()}
         assert list(column.items()) == list(want.items()), (repr(endo), b)
 
 
@@ -380,16 +414,19 @@ def test_checked_inverse_matches_the_two_compose_oracle(monkeypatch):
     inverse, a corrupted solution makes both raise."""
     check, outcomes = Endo.checked_inverse, []
 
-    def both(self, basis, solutions, images, targets):
-        def dense(sols):
-            return [None if sol is None else [sol.get(i, 0) for i in range(len(basis))] for sol in sols]
+    def both(self, solutions, images):
+        keys = sorted({k for sol in solutions if sol is not None for k in sol})
+        basis = [tuple([k >> s & images.mask for s in images.shifts]) for k in keys]
 
-        got = check(self, basis, solutions, images, targets)
+        def dense(sols):
+            return [None if sol is None else [sol.get(k, 0) for k in keys] for sol in sols]
+
+        got = check(self, solutions, images)
         assert got == search_oracle.checked_inverse(self, basis, dense(solutions)), repr(self)
         if got is not None:
             bad = corrupted(solutions, self.ring)
             with pytest.raises(AssertionError, match="internal bug"):
-                check(self, basis, bad, images, targets)
+                check(self, bad, images)
             with pytest.raises((AssertionError, RelationError)):
                 search_oracle.checked_inverse(self, basis, dense(bad))
         outcomes.append(got is not None)
