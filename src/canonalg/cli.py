@@ -23,6 +23,7 @@ from .conjectures import (
     MONOMIAL_BUDGET,
     TAGS,
     chain_probe,
+    check_degree_cap,
     check_instance,
     counterexample_suite,
     decide_poly_automorphism,
@@ -30,7 +31,6 @@ from .conjectures import (
     kraus_check,
 )
 from .parsing import EndoFile, ParseError, parse_endo_file
-from .poly import monomial_count
 from .poisson import PoissonContext, check_symplectic
 from .reduction import check_center_symplectic
 from .report import build_report, dump_report, input_digest, record_fields
@@ -53,80 +53,21 @@ def u64(text: str) -> int:
     return value
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="canonalg",
-        description="Exact checks on Poisson and Weyl algebra endomorphisms.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, needs_input: bool, **extra):
-        p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("--input", required=True, help="endomorphism definition file")
-        p.add_argument("--seed", type=u64, default=0, help="echoed into the report, 0 <= seed < 2^64")
-        p.add_argument("--json", help="write the JSON report to this path")
-        for flag, kwargs in extra.items():
-            p.add_argument(flag, **kwargs)
-        return p
-
-    add("check-symplectic", True)
-    add("check-weyl-endo", True)
-    add("reduce", True)
-    add("invert", True, **{"--degree-cap": dict(type=integer, default=None)})
-    add("invert-weyl", True, **{"--degree-cap": dict(type=integer, default=None)})
-    add("check-instance", True, **{"--tag": dict(required=True, choices=TAGS)})
-    add(
-        "center-slice",
-        False,
-        **{
-            "--ring": dict(required=True, help="prime field literal, e.g. F2"),
-            "--n": dict(type=integer, required=True),
-            "--degree-cap": dict(type=integer, required=True),
-        },
-    )
-    add("kraus", False, **{"--p-max": dict(type=integer, default=1000)})
-    add("suite", False, **{"--p-max": dict(type=integer, default=1000)})
-    add("probe-chain", True)
-    return parser
-
-
-def _check_degree_cap(cap: int, nvars: int) -> int:
-    """Refuse a negative cap, or one whose monomial basis exceeds the budget;
-    returns the basis size."""
-    if cap < 0:
-        raise ValueError(f"--degree-cap must be >= 0, got {cap}")
-    size = monomial_count(nvars, cap)
-    if size > MONOMIAL_BUDGET:
-        raise ValueError(
-            f"--degree-cap {cap} needs {size} monomials in {nvars} variables, "
-            f"over the budget of {MONOMIAL_BUDGET}"
-        )
-    return size
-
-
-def _read(args, *kinds: str) -> tuple[EndoFile, str]:
-    """The ``--input`` file, parsed and refused unless its kind is one of
-    ``kinds``, with the digest of its bytes: (EndoFile, digest)."""
-    data = Path(args.input).read_bytes()
-    ef = parse_endo_file(data.decode("utf-8"))
+def _require(command: str, ef: EndoFile, *kinds: str) -> None:
+    """Refuse an endo file whose kind is not one of ``kinds``."""
     if ef.kind not in kinds:
         wanted = " or ".join(f"kind={kind}" for kind in kinds)
-        raise ParseError(f"{args.command} needs {wanted} input, got kind={ef.kind}")
-    return ef, input_digest(data)
+        raise ParseError(f"{command} needs {wanted} input, got kind={ef.kind}")
 
 
-def _run_check_symplectic(args):
-    ef, digest = _read(args, "poisson")
+def _run_check_symplectic(args, ef):
     rec = check_symplectic(PoissonContext(ef.ring, ef.n), ef.endo())
     payload = {"ring": str(ef.ring), "n": ef.n, **record_fields(rec), "det": rec.det.to_text()}
     payload["assertion_violated"] = rec.assertion_violated
-    return (1 if rec.assertion_violated else 0), payload, digest
+    return (1 if rec.assertion_violated else 0), payload
 
 
-def _run_check_weyl_endo(args):
-    ef, digest = _read(args, "weyl")
+def _run_check_weyl_endo(args, ef):
     ok, witness = verify_endo_relations(WeylAlgebra(ef.ring, ef.n), list(ef.images))
     payload = {
         "ring": str(ef.ring),
@@ -135,11 +76,10 @@ def _run_check_weyl_endo(args):
         "witness": None if ok else {"i": witness[0], "j": witness[1], "commutator": witness[2].to_text()},
         "degree": max((im.degree() for im in ef.images if not im.is_zero()), default=None),
     }
-    return 0, payload, digest
+    return 0, payload
 
 
-def _run_reduce(args):
-    ef, digest = _read(args, "weyl")
+def _run_reduce(args, ef):
     endo = ef.endo()
     sym = check_center_symplectic(endo)  # first, so that the budget refusal comes first
     deg_endo, deg_center = endo.degree(), sym.center.endo.degree()
@@ -155,16 +95,12 @@ def _run_reduce(args):
         "center_symplectic": sym.symplectic,
         "falsification": deg_endo != deg_center or not sym.symplectic,
     }
-    return (1 if payload["falsification"] else 0), payload, digest
+    return (1 if payload["falsification"] else 0), payload
 
 
-def _run_invert(args):
-    weyl = args.command == "invert-weyl"
-    ef, digest = _read(args, "weyl") if weyl else _read(args, "poly", "poisson")
-    endo = ef.endo()
-    if args.degree_cap is not None:
-        _check_degree_cap(args.degree_cap, ef.nvars)
-    decision = (decide_weyl_automorphism if weyl else decide_poly_automorphism)(endo, degree_cap=args.degree_cap)
+def _run_invert(args, ef):
+    decide = decide_weyl_automorphism if ef.kind == "weyl" else decide_poly_automorphism
+    decision = decide(ef.endo(), degree_cap=args.degree_cap)
     inverse = decision.inverse
     payload = {
         "ring": str(ef.ring),
@@ -175,61 +111,90 @@ def _run_invert(args):
         "certified_non_automorphism": decision.status == "no",
         "inverse_images": None if inverse is None else [im.to_text() for im in inverse.images],
     }
-    return 0, payload, digest
+    return 0, payload
 
 
-def _run_check_instance(args):
-    ef, digest = _read(args, {"JC": "poly", "PC": "poisson", "DC": "weyl"}[args.tag[1:]])
+def _run_check_instance(args, ef):
+    _require(args.command, ef, {"JC": "poly", "PC": "poisson", "DC": "weyl"}[args.tag[1:]])
     verdict = check_instance(args.tag, ef.endo())
-    payload = verdict.to_payload()
-    code = 1 if verdict.biconditional_holds is False else 0
-    return code, payload, digest
+    return (1 if verdict.biconditional_holds is False else 0), verdict.to_payload()
 
 
 def _run_center_slice(args):
     ring = ring_from_text(args.ring)
     algebra = WeylAlgebra(ring, args.n)
     # one commutator per basis monomial and generator, each term keyed by 2n exponents
-    work = _check_degree_cap(args.degree_cap, 2 * args.n) * (2 * args.n) ** 2
+    work = check_degree_cap(args.degree_cap, 2 * args.n) * (2 * args.n) ** 2
     if work > 16 * MONOMIAL_BUDGET:
         raise ValueError(f"--n {args.n} needs {work} commutator exponents, over the budget of {16 * MONOMIAL_BUDGET}")
     rec = center_slice_check(algebra, args.degree_cap)
     payload = {"ring": str(ring), "n": args.n, **record_fields(rec)}
-    digest = input_digest(f"center-slice ring={ring} n={args.n} D={args.degree_cap}")
-    return (0 if rec.match else 1), payload, digest
+    return (0 if rec.match else 1), payload, f"center-slice ring={ring} n={args.n} D={args.degree_cap}"
 
 
 def _run_kraus(args):
     rec = kraus_check(args.p_max)
     ok = rec.z_irreducible and rec.all_reducible
-    return (0 if ok else 1), rec.to_payload(), input_digest(f"kraus p_max={args.p_max}")
+    return (0 if ok else 1), rec.to_payload(), f"kraus p_max={args.p_max}"
 
 
 def _run_suite(args):
     rec = counterexample_suite(args.p_max)
-    return (0 if rec.all_expected else 1), rec.to_payload(), input_digest(
-        f"suite p_max={args.p_max}"
-    )
+    return (0 if rec.all_expected else 1), rec.to_payload(), f"suite p_max={args.p_max}"
 
 
-def _run_probe_chain(args):
-    ef, digest = _read(args, "weyl")
+def _run_probe_chain(args, ef):
     rec = chain_probe(ef.endo())
-    return (0 if rec.consistent else 1), rec.to_payload(), digest
+    return (0 if rec.consistent else 1), rec.to_payload()
 
 
-_HANDLERS = {
-    "check-symplectic": _run_check_symplectic,
-    "check-weyl-endo": _run_check_weyl_endo,
-    "reduce": _run_reduce,
-    "invert": _run_invert,
-    "invert-weyl": _run_invert,
-    "check-instance": _run_check_instance,
-    "center-slice": _run_center_slice,
-    "kraus": _run_kraus,
-    "suite": _run_suite,
-    "probe-chain": _run_probe_chain,
+_DEGREE_CAP = {"--degree-cap": dict(type=integer, default=None)}
+_P_MAX = {"--p-max": dict(type=integer, default=1000)}
+
+# Each command's row: its handler, the endo-file kinds its ``--input`` accepts,
+# and its extra flags with their ``add_argument`` keywords.  With kinds,
+# ``run(args, ef) -> (code, payload)`` gets the parsed file; without, the
+# command takes no input and ``run(args) -> (code, payload, text)`` also
+# returns the text its report digests.
+_COMMANDS = {
+    "check-symplectic": (_run_check_symplectic, ("poisson",), {}),
+    "check-weyl-endo": (_run_check_weyl_endo, ("weyl",), {}),
+    "reduce": (_run_reduce, ("weyl",), {}),
+    "invert": (_run_invert, ("poly", "poisson"), _DEGREE_CAP),
+    "invert-weyl": (_run_invert, ("weyl",), _DEGREE_CAP),
+    # every kind: the handler refuses one outside its tag's family
+    "check-instance": (_run_check_instance, ("poly", "poisson", "weyl"), {"--tag": dict(required=True, choices=TAGS)}),
+    "center-slice": (
+        _run_center_slice,
+        (),
+        {
+            "--ring": dict(required=True, help="prime field literal, e.g. F2"),
+            "--n": dict(type=integer, required=True),
+            "--degree-cap": dict(type=integer, required=True),
+        },
+    ),
+    "kraus": (_run_kraus, (), _P_MAX),
+    "suite": (_run_suite, (), _P_MAX),
+    "probe-chain": (_run_probe_chain, ("weyl",), {}),
 }
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="canonalg",
+        description="Exact checks on Poisson and Weyl algebra endomorphisms.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, kinds, options) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        if kinds:
+            p.add_argument("--input", required=True, help="endomorphism definition file")
+        p.add_argument("--seed", type=u64, default=0, help="echoed into the report, 0 <= seed < 2^64")
+        p.add_argument("--json", help="write the JSON report to this path")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+    return parser
 
 
 # characters of a payload value a summary line shows; the report keeps the whole value
@@ -257,9 +222,16 @@ def _summary_lines(command: str, payload: dict) -> list[str]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run, kinds, _ = _COMMANDS[args.command]
     try:
-        code, payload, digest = _HANDLERS[args.command](args)
-        text = dump_report(build_report(args.command, digest, payload, args.seed))
+        if kinds:
+            data = Path(args.input).read_bytes()
+            ef = parse_endo_file(data.decode("utf-8"))
+            _require(args.command, ef, *kinds)
+            code, payload = run(args, ef)
+        else:
+            code, payload, data = run(args)
+        text = dump_report(build_report(args.command, input_digest(data), payload, args.seed))
         if args.json:
             Path(args.json).write_text(text, encoding="utf-8")
     except (ValueError, NonUnitError, OSError) as exc:

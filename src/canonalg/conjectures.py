@@ -13,6 +13,7 @@ inverses (deg^(m-1) for polynomial maps, deg^(2n-1) on the Weyl side).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
@@ -83,12 +84,29 @@ def _search_cap(nvars: int, bound: int) -> int:
     return min(reachable, QUICK_CAP)
 
 
+def check_degree_cap(cap: int, nvars: int) -> int:
+    """Refuse a negative cap, or one whose monomial basis exceeds the budget;
+    returns the basis size."""
+    if cap < 0:
+        raise ValueError(f"--degree-cap must be >= 0, got {cap}")
+    size = monomial_count(nvars, cap)
+    if size > MONOMIAL_BUDGET:
+        raise ValueError(
+            f"--degree-cap {cap} needs {size} monomials in {nvars} variables, "
+            f"over the budget of {MONOMIAL_BUDGET}"
+        )
+    return size
+
+
 def _decide(endo, bound: int, search, degree_cap: int | None) -> AutomorphismDecision:
-    """Search to ``degree_cap``, or as far as the budget allows; "no" only once
+    """Search to ``degree_cap`` (refused past the budget, see
+    :func:`check_degree_cap`), or as far as the budget allows; "no" only once
     the bound is exhausted.  Bound 0 is a constant map: "no" without a search,
     over Z too."""
     if degree_cap is None:
         degree_cap = _search_cap(len(endo.images), bound)
+    else:
+        check_degree_cap(degree_cap, len(endo.images))
     if not bound:
         return AutomorphismDecision("no", None, 0, degree_cap)
     inverse, found = search(endo, degree_cap)
@@ -366,14 +384,10 @@ def kraus_check(p_max: int) -> KrausReport:
         factorizations[p] = tuple(f.to_text() for f in factors)
 
     no_root = all(r**4 + 1 != 0 for r in (1, -1))
-    no_quadratic = True
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            for c in range(-2, 3):
-                for d in range(-2, 3):
-                    prod = [b * d, a * d + b * c, b + d + a * c, a + c, 1]
-                    if prod == _QUARTIC:
-                        no_quadratic = False
+    no_quadratic = all(
+        [b * d, a * d + b * c, b + d + a * c, a + c, 1] != _QUARTIC
+        for a, b, c, d in itertools.product(range(-2, 3), repeat=4)
+    )
     return KrausReport(
         p_max=p_max,
         z_irreducible=no_root and no_quadratic,

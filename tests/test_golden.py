@@ -192,6 +192,57 @@ def test_main_builds_the_parser_once(monkeypatch, tmp_path):
     assert builds == ["canonalg"]
 
 
+def test_parser_states_each_command_and_its_options():
+    """The subcommands in order, and per subcommand each option's flags,
+    ``required``, ``default``, ``type`` name and ``choices``: compared as
+    structure, since argparse words ``--help`` differently across Python
+    versions."""
+    seed_json = [("--seed", False, 0, "u64", None), ("--json", False, None, None, None)]
+    with_input = [("--input", True, None, None, None), *seed_json]
+    cap = ("--degree-cap", False, None, "integer", None)
+    p_max = ("--p-max", False, 1000, "integer", None)
+    expected = [
+        ("check-symplectic", with_input),
+        ("check-weyl-endo", with_input),
+        ("reduce", with_input),
+        ("invert", [*with_input, cap]),
+        ("invert-weyl", [*with_input, cap]),
+        ("check-instance", [*with_input, ("--tag", True, None, None, ("CJC", "NJC", "CPC", "NPC", "CDC", "NDC"))]),
+        (
+            "center-slice",
+            [
+                *seed_json,
+                ("--ring", True, None, None, None),
+                ("--n", True, None, "integer", None),
+                ("--degree-cap", True, None, "integer", None),
+            ],
+        ),
+        ("kraus", [*seed_json, p_max]),
+        ("suite", [*seed_json, p_max]),
+        ("probe-chain", with_input),
+    ]
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    got = [
+        (
+            name,
+            [
+                (
+                    " ".join(a.option_strings),
+                    a.required,
+                    a.default,
+                    None if a.type is None else a.type.__name__,
+                    None if a.choices is None else tuple(a.choices),
+                )
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            ],
+        )
+        for name, parser in sub.choices.items()
+    ]
+    assert got == expected
+
+
 def test_summary_lines_match_golden():
     assert summary_text() == (GOLDEN / "summary.txt").read_text(encoding="utf-8")
 

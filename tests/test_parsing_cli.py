@@ -369,7 +369,7 @@ def test_cli_internal_errors_exit_3(tmp_path, monkeypatch, capsys):
     def broken(args):
         raise CenterReductionError("p-th power is not central")
 
-    monkeypatch.setitem(cli._HANDLERS, "kraus", broken)
+    monkeypatch.setitem(cli._COMMANDS, "kraus", (broken, *cli._COMMANDS["kraus"][1:]))
     out = tmp_path / "r.json"
     assert main(["kraus", "--json", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()

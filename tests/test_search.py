@@ -33,6 +33,7 @@ from canonalg.conjectures import (
     inverse_search_poly,
 )
 from canonalg.linalg import SparseMatrix, solve_many
+from canonalg.parsing import parse_endo_file
 from canonalg.reduction import induced_center_endo
 from canonalg.poisson import PoissonContext, coordinate_shear, generate_symplectomorphism, momentum_shear
 from canonalg.poly import Endo, Poly, PolyEndo, _Images, compositions, monomial_count, monomials_upto
@@ -373,6 +374,29 @@ def test_a_fixed_degree_cap_decides_as_the_search_at_that_cap(ring):
             assert decision == capped_decision(search, bound, endo, cap), (repr(endo), cap)
             statuses.add(decision.status)
     assert above and statuses == {"yes", "no", "unknown"}
+
+
+@pytest.mark.parametrize(
+    "decide,text",
+    [
+        (decide_poly_automorphism, "ring=F3 kind=poly m=2\nX1 -> X1 + X2^2\nX2 -> X2\n"),
+        (decide_weyl_automorphism, "ring=F3 kind=weyl n=1\nY1 -> Y1 + Y2^2\nY2 -> Y2\n"),
+    ],
+    ids=["poly", "weyl"],
+)
+def test_a_degree_cap_below_zero_or_past_the_budget_is_refused(decide, text):
+    """The decision refuses what ``invert --degree-cap`` refuses, with the same
+    message: in two variables cap 87 forms C(89, 2) = 3916 basis monomials,
+    within the budget of 4000, and cap 88 forms 4005.  The inverse is found
+    at cap 2, so the largest allowed cap stays cheap."""
+    endo = parse_endo_file(text).endo()
+    assert decide(endo, degree_cap=87).found_degree == 2
+    with pytest.raises(ValueError) as exc:
+        decide(endo, degree_cap=88)
+    assert str(exc.value) == "--degree-cap 88 needs 4005 monomials in 2 variables, over the budget of 4000"
+    with pytest.raises(ValueError) as exc:
+        decide(endo, degree_cap=-1)
+    assert str(exc.value) == "--degree-cap must be >= 0, got -1"
 
 
 # -- the two-sided check on the search's own engine -----------------------------------
