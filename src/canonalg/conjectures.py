@@ -417,7 +417,7 @@ def frobenius_deficit_poly(ring: Ring, nvars: int) -> PolyEndo:
 
 def frobenius_deficit_weyl(algebra) -> WeylEndo:
     """The map (Y_1 - Y_1^p, Y_2, ..., Y_2n) over F_p, quantized from 2n variables."""
-    return weylmod.quantized(algebra, frobenius_deficit_poly(algebra.ring, algebra.ngens))
+    return weylmod.quantized(algebra, frobenius_deficit_poly(algebra.ring, algebra.nvars))
 
 
 def counterexample_suite(kraus_p_max: int = 1000) -> SuiteReport:

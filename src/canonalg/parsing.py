@@ -15,8 +15,9 @@ the ``ParseError`` it raises.  Weyl expressions are parsed as noncommutative
 words: products evaluate left to right through the normal-ordering
 multiplication, so any input word lands in canonical form on ingestion.
 Evaluation refuses, before forming it, any product or power step whose
-operands' term counts multiply past ``TERM_PAIR_BUDGET``, and any Weyl
-product over Q or Z whose degree would pass ``WEYL_DEGREE_LIMIT``.
+operands' term counts multiply past ``TERM_PAIR_BUDGET`` (a Weyl file too,
+when its relation check's products would in all), and any Weyl product
+over Q or Z whose degree would pass ``WEYL_DEGREE_LIMIT``.
 
 An endomorphism file is a ``key=value`` header line followed by one
 ``Var -> expression`` mapping per generator, in generator order:
@@ -85,7 +86,8 @@ def _tokenize(text: str, line_no: int = 0) -> list[tuple[str, object, int]]:
 
 # The most term pairs (the product of the operands' term counts) that one
 # product or one step of a power may multiply while an expression is
-# evaluated.  A product at the budget takes up to about a second over Q; a
+# evaluated, and a Weyl file's relation check (both products of every image
+# pair) in all.  A product at the budget takes up to about a second over Q; a
 # few bytes such as (X1 + X2 + 1)^400 would otherwise ask for minutes.
 TERM_PAIR_BUDGET = 100_000
 
@@ -285,6 +287,9 @@ def parse_endo_file(text: str) -> EndoFile:
             raise ParseError(f"expected image of {expected}, found {lhs.strip()!r}", line_no, 1)
         # blanks in place of the name and the arrow, so every column counts from the start of the line
         images.append(_evaluate(" " * (len(lhs) + 2) + rhs, line_no, variables, one))
+    sizes = [len(image.terms) for image in images] if kind == "weyl" else []  # the relation check's operands
+    if (pairs := sum(sizes) ** 2 - sum(s * s for s in sizes)) > TERM_PAIR_BUDGET:  # both products of each pair
+        raise ParseError(f"the relation check's {pairs} term pairs exceed the budget of {TERM_PAIR_BUDGET}", header_no, 1)
     return EndoFile(ring=ring, kind=kind, n=n, nvars=nvars, images=tuple(images))
 
 

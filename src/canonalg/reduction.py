@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .poisson import PoissonContext, is_symplectic
+from .poisson import is_symplectic
 from .poly import Poly, PolyEndo, _Images
 from .weyl import WeylEndo
 
@@ -54,7 +54,7 @@ def induced_center_endo(endo: WeylEndo) -> CenterEndo:
     (``endo._letter_order`` of the engine's shifts); every exponent must be
     divisible by p, and the quotients key its term in the X_i = Y_i^p."""
     alg = endo.algebra
-    ring, m = alg.ring, alg.ngens
+    ring, m = alg.ring, alg.nvars
     p = ring.characteristic()
     if p == 0:
         raise ValueError("center reduction needs prime-field coefficients")
@@ -83,8 +83,7 @@ def induced_center_endo(endo: WeylEndo) -> CenterEndo:
 
 
 def check_center_symplectic(endo: WeylEndo) -> CenterSymplecticReport:
-    """The center restriction of a relation-verified endomorphism must preserve
-    the canonical bracket; a False result is a falsification event."""
+    """The center restriction of a relation-verified endomorphism must preserve the
+    bracket of the algebra, its own Poisson context; False is a falsification event."""
     center = induced_center_endo(endo)
-    ctx = PoissonContext(endo.algebra.ring, endo.algebra.n)
-    return CenterSymplecticReport(center, is_symplectic(ctx, center.endo))
+    return CenterSymplecticReport(center, is_symplectic(endo.algebra, center.endo))

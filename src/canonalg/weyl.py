@@ -31,7 +31,8 @@ central iff all its exponents vanish in the ring (see :func:`is_central`).
 :func:`center_slice_check` stay on products; the slice check is the
 independent test of that identity.
 
-The algebra quantizes the canonical Poisson algebra in 2n variables: the
+The algebra quantizes the canonical Poisson algebra of its own ring and n,
+so ``WeylAlgebra`` is a ``poisson.PoissonContext`` (2n = ``nvars``): the
 normal-ordering map :func:`quantize` sends X_i to Y_i and :func:`dequantize`
 reads it back, both through :func:`swap_blocks`, the one statement of the
 block layout; as ``WeylEndo._letter_order`` it orders the image engine's
@@ -80,19 +81,8 @@ class RelationError(ValueError):
 
 
 @dataclass(frozen=True)
-class WeylAlgebra:
-    """Coefficient ring plus the index n (2n generators)."""
-
-    ring: Ring
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("index n must be >= 1")
-
-    @property
-    def ngens(self) -> int:
-        return 2 * self.n
+class WeylAlgebra(poisson.PoissonContext):
+    """Its own Poisson context: ring, index n >= 1, 2n generators (``nvars``)."""
 
     def zero(self) -> "WeylElement":
         return WeylElement(self, {})
@@ -105,13 +95,13 @@ class WeylAlgebra:
 
     def generator(self, i: int) -> "WeylElement":
         """Y_i, 1-based: derivation letter for i <= n, position letter above."""
-        if not 1 <= i <= self.ngens:
-            raise IndexError(f"generator index {i} out of range 1..{self.ngens}")
-        e = (0,) * (i - 1) + (1,) + (0,) * (self.ngens - i)  # X_i, keyed as :func:`quantize` keys it
+        if not 1 <= i <= self.nvars:
+            raise IndexError(f"generator index {i} out of range 1..{self.nvars}")
+        e = (0,) * (i - 1) + (1,) + (0,) * (self.nvars - i)  # X_i, keyed as :func:`quantize` keys it
         return WeylElement(self, {WeylElement._unflat(swap_blocks(e)): self.ring.one()})
 
     def generators(self) -> list["WeylElement"]:
-        return [self.generator(i) for i in range(1, self.ngens + 1)]
+        return [self.generator(i) for i in range(1, self.nvars + 1)]
 
 
 class WeylElement(Terms):
@@ -240,8 +230,8 @@ def verify_endo_relations(
     other pair of images commutes; otherwise (False, witness) with the
     offending 1-based pair and its commutator.
     """
-    if len(images) != algebra.ngens:
-        raise ValueError(f"need {algebra.ngens} images, got {len(images)}")
+    if len(images) != algebra.nvars:
+        raise ValueError(f"need {algebra.nvars} images, got {len(images)}")
     if any(im.algebra != algebra for im in images):
         raise ValueError("image from the wrong algebra")
     witness = pairing_witness(images, commutator, algebra.n)
@@ -296,7 +286,7 @@ def quantize(algebra: WeylAlgebra, f: Poly) -> WeylElement:
     """The normal-ordered element with X_i -> Y_i: c X^e becomes
     c x^(e_{n+1..2n}) d^(e_{1..n}).  Linear, not multiplicative; it is
     exact on terms that lie in one block, whose letters commute."""
-    if f.nvars != algebra.ngens or f.ring != algebra.ring:
+    if f.nvars != algebra.nvars or f.ring != algebra.ring:
         raise ValueError("polynomial must have 2n variables over the algebra ring")
     unflat = WeylElement._unflat
     return WeylElement(algebra, {unflat(swap_blocks(e)): c for e, c in f.terms.items()})
@@ -305,7 +295,7 @@ def quantize(algebra: WeylAlgebra, f: Poly) -> WeylElement:
 def dequantize(elem: WeylElement) -> Poly:
     """The inverse of :func:`quantize` on terms: c x^g d^e becomes c X^(e, g)."""
     algebra = elem.algebra
-    return Poly(algebra.ring, algebra.ngens, {swap_blocks(g + d): c for (g, d), c in elem.terms.items()})
+    return Poly(algebra.ring, algebra.nvars, {swap_blocks(g + d): c for (g, d), c in elem.terms.items()})
 
 
 def quantized(algebra: WeylAlgebra, endo: PolyEndo) -> WeylEndo:
@@ -314,21 +304,17 @@ def quantized(algebra: WeylAlgebra, endo: PolyEndo) -> WeylEndo:
     return WeylEndo(algebra, [quantize(algebra, im) for im in endo.images])
 
 
-def _classical(algebra: WeylAlgebra) -> poisson.PoissonContext:
-    return poisson.PoissonContext(algebra.ring, algebra.n)
-
-
 # -- elementary automorphisms and test families ------------------------------------
 
 
 def pair_swap(algebra: WeylAlgebra, i: int) -> WeylEndo:
     """Y_i -> Y_{i+n}, Y_{i+n} -> -Y_i on one pair."""
-    return quantized(algebra, poisson.pair_swap(_classical(algebra), i))
+    return quantized(algebra, poisson.pair_swap(algebra, i))
 
 
 def pair_scaling(algebra: WeylAlgebra, i: int, unit) -> WeylEndo:
     """Y_i -> u Y_i, Y_{i+n} -> u^{-1} Y_{i+n} for a unit u."""
-    return quantized(algebra, poisson.pair_scaling(_classical(algebra), i, unit))
+    return quantized(algebra, poisson.pair_scaling(algebra, i, unit))
 
 
 def generate_weyl_automorphism(
@@ -341,11 +327,11 @@ def generate_weyl_automorphism(
     max_degree is skipped.
     """
     rng = random.Random(seed)
-    ring, n, ctx = algebra.ring, algebra.n, _classical(algebra)
+    ring, n = algebra.ring, algebra.n
 
     def shear(make, lo):
         units = (1, -1, 2, -2)
-        return lambda: quantized(algebra, make(ctx, random_block_poly(rng, ring, 2 * n, lo, lo + n - 1, 3, units)))
+        return lambda: quantized(algebra, make(algebra, random_block_poly(rng, ring, 2 * n, lo, lo + n - 1, 3, units)))
 
     def scale():
         u = random_unit(rng, ring, (1, -1, 2))  # the unit before the pair: each seed keeps its map
@@ -380,7 +366,7 @@ def generate_central_perturbation(algebra: WeylAlgebra, seed: int) -> WeylEndo:
         raise ValueError("central perturbations need a prime field")
     rng = random.Random(seed)
     images = []
-    for i in range(1, algebra.ngens + 1):
+    for i in range(1, algebra.nvars + 1):
         im = algebra.generator(i)
         for _ in range(rng.randint(1, 2)):
             if rng.random() < 0.4:
@@ -426,7 +412,7 @@ def center_slice_check(algebra: WeylAlgebra, degree_cap: int) -> CenterSliceRepo
     p = ring.characteristic()
     if p == 0:
         raise ValueError("center slice check needs a prime field")
-    basis = [WeylElement._unflat(e) for e in monomials_upto(algebra.ngens, degree_cap)]
+    basis = [WeylElement._unflat(e) for e in monomials_upto(algebra.nvars, degree_cap)]
     expected = {key for key in basis if all(e % p == 0 for pair in key for e in pair)}
 
     generators = algebra.generators()

@@ -175,7 +175,7 @@ def read_central_by_dequantize(endo: WeylEndo) -> CenterEndo:
     image read back as a polynomial in the X_i = Y_i^p through
     ``dequantize``, its exponents divided by p."""
     alg = endo.algebra
-    ring, m = alg.ring, alg.ngens
+    ring, m = alg.ring, alg.nvars
     p = ring.characteristic()
     if p == 0:
         raise ValueError("center reduction needs prime-field coefficients")

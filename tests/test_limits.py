@@ -27,7 +27,7 @@ from canonalg.parsing import GENERATOR_LIMIT, WEYL_DEGREE_LIMIT, ParseError, par
 from canonalg.poly import DET_WORK_BUDGET, Poly, PolyEndo, PolyMatrix, _Images
 from canonalg.reduction import CENTER_WORK_BUDGET, induced_center_endo
 from canonalg.rings import GF, MODULUS_LIMIT, is_prime, ring_from_text
-from canonalg.weyl import WeylAlgebra, WeylEndo, generate_weyl_automorphism
+from canonalg.weyl import WeylAlgebra, WeylElement, WeylEndo, generate_weyl_automorphism
 from test_conjectures import CLAUSE_ROWS
 
 LARGEST_PRIME_BELOW_LIMIT = 2**40 - 87
@@ -282,6 +282,55 @@ def test_generator_limit_boundary(kind, command, past, tmp_path, capsys):
     capsys.readouterr()
     assert main([command, "--input", _write(tmp_path, "past.endo", _identity_file(kind, past))]) == 2
     assert capsys.readouterr().err == f"error: line 1, col 1: {past} generators exceed the limit of 200\n"
+
+
+# -- the relation check's term pairs ---------------------------------------------------------
+
+# a linear automorphism of n = 2 over F3 written without a product: image term counts 3, 2, 1, 1
+_LINEAR_WEYL = "ring=F3 kind=weyl n=2\nY1 -> Y1 + Y3 + Y4\nY2 -> Y2 + Y3\nY3 -> Y3\nY4 -> Y4\n"
+
+
+def _relation_pairs(text: str) -> int:
+    """The term pairs of both products of every image pair, counted pair by pair."""
+    sizes = [len(image.terms) for image in parse_endo_file(text).images]
+    return sum(2 * sizes[i] * sizes[j] for i in range(len(sizes)) for j in range(i + 1, len(sizes)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check-weyl-endo"], ["reduce"], ["invert-weyl"], ["probe-chain"], ["check-instance", "--tag", "CDC"]],
+    ids=lambda argv: argv[-1],
+)
+def test_relation_check_budget_boundary(argv, monkeypatch, tmp_path, capsys):
+    count = _relation_pairs(_LINEAR_WEYL)
+    assert count == 2 * (3 * 2 + 3 + 3 + 2 + 2 + 1)
+    f = _write(tmp_path, "linear.endo", _LINEAR_WEYL)
+    monkeypatch.setattr(parsing, "TERM_PAIR_BUDGET", count)
+    assert main([*argv, "--input", f]) == 0
+    capsys.readouterr()
+
+    def no_product(self, other):
+        raise AssertionError("a Weyl product was formed")
+
+    monkeypatch.setattr(parsing, "TERM_PAIR_BUDGET", count - 1)
+    monkeypatch.setattr(WeylElement, "__mul__", no_product)
+    assert main([*argv, "--input", f]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 1, col 1: the relation check's {count} term pairs exceed the budget of {count - 1}\n"
+    )
+
+
+def test_relation_check_budget_spares_the_largest_identity_and_refuses_two_dense_images(tmp_path, capsys):
+    assert parsing.TERM_PAIR_BUDGET == 100_000
+    # the 200-generator identity counts 200 * 199 pairs: test_generator_limit_boundary shows that it answers
+    assert _relation_pairs(_identity_file("weyl", 200)) == 39_800
+    # two images of 250 terms, each a letter plus powers 2..250 of the other: 2 * 250 * 250 pairs, no product formed
+    sums = [" + ".join(f"{letter}^{k}" for k in range(2, 251)) for letter in ("Y2", "Y1")]
+    past = f"ring=F1009 kind=weyl n=1\nY1 -> Y1 + {sums[0]}\nY2 -> Y2 + {sums[1]}\n"
+    assert main(["check-weyl-endo", "--input", _write(tmp_path, "past.endo", past)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1, col 1: the relation check's 125000 term pairs exceed the budget of 100000\n"
+    )
 
 
 # -- the determinant's work -------------------------------------------------------------------

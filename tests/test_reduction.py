@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from canonalg.poisson import PoissonContext, is_symplectic
 from canonalg.poly import Poly, PolyEndo
 from canonalg.reduction import check_center_symplectic, induced_center_endo
 from canonalg.rings import GF, QQ
@@ -69,6 +70,12 @@ def test_center_restriction_symplectic_and_degree_on_corpus_sample():
         sym = check_center_symplectic(endo)
         assert sym.symplectic
         assert sym.center.endo.degree() == endo.degree()
+
+
+def test_center_symplectic_reads_the_algebra_as_its_poisson_context():
+    for endo in weyl_corpus():
+        ctx = PoissonContext(endo.algebra.ring, endo.algebra.n)
+        assert check_center_symplectic(endo).symplectic == is_symplectic(ctx, induced_center_endo(endo).endo)
 
 
 def test_reduction_commutes_with_composition():

@@ -230,6 +230,18 @@ def test_elementary_automorphisms():
     assert shear.images[1] == B.generator(2) + B.generator(1).scale(QQ.of_int(2))
 
 
+def test_the_algebra_is_the_poisson_context_it_quantizes():
+    for make in (WeylAlgebra, PoissonContext):
+        with pytest.raises(ValueError, match="^index n must be >= 1$"):
+            make(GF(3), 0)
+    A, ctx = WeylAlgebra(GF(3), 2), PoissonContext(GF(3), 2)
+    assert isinstance(A, PoissonContext) and A.nvars == 4 == 2 * A.n
+    assert A != ctx and ctx != A  # equality stays per class
+    # a map drawn in the algebra as its own context is the one drawn in a separate context
+    h = Poly.variable(GF(3), 4, 3) ** 2 * Poly.variable(GF(3), 4, 4)
+    assert quantized(A, coordinate_shear(A, h)) == quantized(A, coordinate_shear(ctx, h))
+
+
 def test_generators_deterministic_and_verified():
     A = WeylAlgebra(GF(3), 2)
     assert generate_weyl_automorphism(A, seed=0, steps=0).is_identity()
