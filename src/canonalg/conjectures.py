@@ -347,14 +347,13 @@ def _factor_quartic_mod(p: int) -> tuple[list[int], list[int]] | None:
                 out.append(acc)
             cubic = list(reversed(out[:-1]))
             return ([(-a) % p, 1], cubic)
-    for b in range(p):  # (X^2 + b)(X^2 - b), needs b^2 = -1
-        if (b * b + 1) % p == 0:
-            return ([b, 0, 1], [(-b) % p, 0, 1])
-    for a in range(p):  # (X^2 + aX + 1)(X^2 - aX + 1), needs a^2 = 2
-        if (a * a - 2) % p == 0:
+    # with no root, exactly one of -1, 2, -2 is a square mod p, so one scan meets one test
+    for a in range(p):
+        if (a * a + 1) % p == 0:  # (X^2 + a)(X^2 - a)
+            return ([a, 0, 1], [(-a) % p, 0, 1])
+        if (a * a - 2) % p == 0:  # (X^2 + aX + 1)(X^2 - aX + 1)
             return ([1, a, 1], [1, (-a) % p, 1])
-    for a in range(p):  # (X^2 + aX - 1)(X^2 - aX - 1), needs a^2 = -2
-        if (a * a + 2) % p == 0:
+        if (a * a + 2) % p == 0:  # (X^2 + aX - 1)(X^2 - aX - 1)
             return ([(-1) % p, a, 1], [(-1) % p, (-a) % p, 1])
     return None  # unreachable for prime p: one of -1, 2, -2 is a square mod p
 

@@ -14,10 +14,10 @@ limit on its length or nesting depth, and its first fault in reading order is
 the ``ParseError`` it raises.  Weyl expressions are parsed as noncommutative
 words: products evaluate left to right through the normal-ordering
 multiplication, so any input word lands in canonical form on ingestion.
-Evaluation refuses, before forming it, any product or power step whose
-operands' term counts multiply past ``TERM_PAIR_BUDGET`` (a Weyl file too,
-when its relation check's products would in all), and any Weyl product
-over Q or Z whose degree would pass ``WEYL_DEGREE_LIMIT``.
+Evaluation refuses, before forming it, any product or power step that
+would form more than ``TERM_PAIR_BUDGET`` terms (``weyl.leibniz_terms``
+counts a Weyl product's; a Weyl file's relation check counts in all), and
+any Weyl product over Q or Z whose degree would pass ``WEYL_DEGREE_LIMIT``.
 
 An endomorphism file is a ``key=value`` header line followed by one
 ``Var -> expression`` mapping per generator, in generator order:
@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .poly import Poly, PolyEndo, default_names, power
 from .rings import Ring, is_numeral, ring_from_text
-from .weyl import WeylAlgebra, WeylElement, WeylEndo
+from .weyl import WeylAlgebra, WeylElement, WeylEndo, leibniz_terms, relation_check_terms
 
 
 class ParseError(ValueError):
@@ -84,11 +84,11 @@ def _tokenize(text: str, line_no: int = 0) -> list[tuple[str, object, int]]:
     return tokens
 
 
-# The most term pairs (the product of the operands' term counts) that one
-# product or one step of a power may multiply while an expression is
-# evaluated, and a Weyl file's relation check (both products of every image
-# pair) in all.  A product at the budget takes up to about a second over Q; a
-# few bytes such as (X1 + X2 + 1)^400 would otherwise ask for minutes.
+# The most terms one product or one step of a power may form while an
+# expression is evaluated (``weyl.leibniz_terms`` counts a Weyl product's),
+# and a Weyl file's relation check in all (``weyl.relation_check_terms``).
+# A product at the budget takes up to about a second over Q; a few bytes
+# such as (X1 + X2 + 1)^400 would otherwise ask for minutes.
 TERM_PAIR_BUDGET = 100_000
 
 # The highest degree a Weyl product over Q or Z may reach while an expression
@@ -104,9 +104,11 @@ GENERATOR_LIMIT = 200
 
 
 def _product(a, b):
-    if len(a.terms) * len(b.terms) > TERM_PAIR_BUDGET:
+    work = len(a.terms) * (leibniz_terms(b) if isinstance(b, WeylElement) else len(b.terms))
+    if work > TERM_PAIR_BUDGET:
         raise ParseError(
-            f"a product of {len(a.terms)} by {len(b.terms)} terms exceeds the budget of {TERM_PAIR_BUDGET} term pairs"
+            f"a product of {len(a.terms)} by {len(b.terms)} terms forms up to {work} terms, "
+            f"past the budget of {TERM_PAIR_BUDGET}"
         )
     if isinstance(a, WeylElement) and not a.ring.p and a.terms and b.terms:
         degree = a.degree() + b.degree()  # additive: the Weyl algebra over Q or Z has no zero divisors
@@ -287,9 +289,8 @@ def parse_endo_file(text: str) -> EndoFile:
             raise ParseError(f"expected image of {expected}, found {lhs.strip()!r}", line_no, 1)
         # blanks in place of the name and the arrow, so every column counts from the start of the line
         images.append(_evaluate(" " * (len(lhs) + 2) + rhs, line_no, variables, one))
-    sizes = [len(image.terms) for image in images] if kind == "weyl" else []  # the relation check's operands
-    if (pairs := sum(sizes) ** 2 - sum(s * s for s in sizes)) > TERM_PAIR_BUDGET:  # both products of each pair
-        raise ParseError(f"the relation check's {pairs} term pairs exceed the budget of {TERM_PAIR_BUDGET}", header_no, 1)
+    if kind == "weyl" and (work := relation_check_terms(images)) > TERM_PAIR_BUDGET:
+        raise ParseError(f"the relation check forms up to {work} terms, past the budget of {TERM_PAIR_BUDGET}", header_no, 1)
     return EndoFile(ring=ring, kind=kind, n=n, nvars=nvars, images=tuple(images))
 
 

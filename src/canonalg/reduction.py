@@ -17,16 +17,14 @@ no Weyl element is formed.  A failed check is an internal error, not data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 from .poisson import is_symplectic
 from .poly import Poly, PolyEndo, _Images
-from .weyl import WeylEndo
+from .weyl import WeylEndo, leibniz_terms
 
 
 # Terms the p products per generator of one restriction may form, bounded before
-# each product: a term pair forms one term, times min(b, p - 1) + 1 (its Leibniz
-# expansion) for each position exponent b of the right term that lowers a letter.
+# each product: each term of the power times ``weyl.leibniz_terms`` of the image.
 CENTER_WORK_BUDGET = 4_500_000
 
 
@@ -63,8 +61,8 @@ def induced_center_endo(endo: WeylEndo) -> CenterEndo:
     zero = Poly.zero(ring, m)
     out = []
     work = 0
-    for i, (right, lowers) in enumerate(endo._letter_order(images.letters), start=1):
-        formed = sum(prod([min(b, p - 1) + 1 for _, b, _ in lows]) for _, _, lows in right)
+    for i, (image, (right, lowers)) in enumerate(zip(endo.images, endo._letter_order(images.letters)), start=1):
+        formed = leibniz_terms(image)
         power = images.cache[0]
         for _ in range(p):
             work += len(power) * formed

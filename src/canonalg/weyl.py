@@ -47,7 +47,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from math import prod
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from . import poisson
@@ -203,6 +204,16 @@ def _leibniz_weights(a: int, b: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def leibniz_terms(elem: WeylElement) -> int:
+    """The most terms a product by ``elem`` forms per term of the left
+    factor: each term of ``elem`` counts 1, times its Leibniz expansion's
+    length bound, min(b, p - 1) + 1 over F_p or b + 1 over Q and Z, for
+    each position exponent b that is nonzero in the ring.  The parser's
+    and the center restriction's budgets count with it."""
+    p = elem.ring.p
+    return sum(prod([min(b, p - 1) + 1 if p else b + 1 for b in g if (b % p if p else b)]) for g, _ in elem.terms)
+
+
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     return a * b - b * a
 
@@ -236,6 +247,14 @@ def verify_endo_relations(
         raise ValueError("image from the wrong algebra")
     witness = pairing_witness(images, commutator, algebra.n)
     return witness is None, witness
+
+
+def relation_check_terms(images: Sequence[WeylElement]) -> int:
+    """The most terms :func:`verify_endo_relations` forms: both products of
+    every image pair, G_i * G_j forming |G_i| * w_j terms for w_j =
+    :func:`leibniz_terms` (G_j), so (sum |G_i|)(sum w_j) - sum |G_i| w_i."""
+    sizes, weights = [len(im.terms) for im in images], [leibniz_terms(im) for im in images]
+    return sum(sizes) * sum(weights) - sum(map(mul, sizes, weights))
 
 
 class WeylEndo(Endo):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -36,6 +37,7 @@ from canonalg.weyl import (  # noqa: E402
     generate_central_perturbation,
     generate_weyl_automorphism,
     is_central,
+    leibniz_terms,
     pair_scaling,
     pair_swap,
 )
@@ -133,6 +135,16 @@ def test_center_restriction_agrees_with_pth_powers_on_the_corpus():
     assert len(corpus) == 117
     for endo in corpus:
         assert induced_center_endo(endo).endo == product_oracle.induced_center_endo(endo).endo
+
+
+def test_leibniz_terms_is_the_count_the_engine_letters_gave_on_the_corpus():
+    # the count the center restriction made from its engine: per letter-image term, the product of
+    # min(b, p - 1) + 1 over the position exponents b that lower a letter
+    for endo in weyl_corpus():
+        p = endo.ring.p
+        letters = endo._letter_order(_Images(endo, p).letters)
+        engine = [sum(prod([min(b, p - 1) + 1 for _, b, _ in lows]) for _, _, lows in right) for right, _ in letters]
+        assert [leibniz_terms(image) for image in endo.images] == engine
 
 
 def test_center_restriction_reads_what_the_hand_written_key_map_read_on_the_corpus():

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import inspect
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from canonalg import cli, parsing, poly, reduction
+from canonalg import cli, parsing, poly, reduction, weyl
 from canonalg.cli import main
 from canonalg.conjectures import (
     MONOMIAL_BUDGET,
@@ -27,7 +28,14 @@ from canonalg.parsing import GENERATOR_LIMIT, WEYL_DEGREE_LIMIT, ParseError, par
 from canonalg.poly import DET_WORK_BUDGET, Poly, PolyEndo, PolyMatrix, _Images
 from canonalg.reduction import CENTER_WORK_BUDGET, induced_center_endo
 from canonalg.rings import GF, MODULUS_LIMIT, is_prime, ring_from_text
-from canonalg.weyl import WeylAlgebra, WeylElement, WeylEndo, generate_weyl_automorphism
+from canonalg.weyl import (
+    WeylAlgebra,
+    WeylElement,
+    WeylEndo,
+    generate_weyl_automorphism,
+    leibniz_terms,
+    relation_check_terms,
+)
 from test_conjectures import CLAUSE_ROWS
 
 LARGEST_PRIME_BELOW_LIMIT = 2**40 - 87
@@ -284,16 +292,22 @@ def test_generator_limit_boundary(kind, command, past, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: line 1, col 1: {past} generators exceed the limit of 200\n"
 
 
-# -- the relation check's term pairs ---------------------------------------------------------
+# -- the relation check's terms ---------------------------------------------------------------
 
 # a linear automorphism of n = 2 over F3 written without a product: image term counts 3, 2, 1, 1
 _LINEAR_WEYL = "ring=F3 kind=weyl n=2\nY1 -> Y1 + Y3 + Y4\nY2 -> Y2 + Y3\nY3 -> Y3\nY4 -> Y4\n"
 
 
-def _relation_pairs(text: str) -> int:
-    """The term pairs of both products of every image pair, counted pair by pair."""
-    sizes = [len(image.terms) for image in parse_endo_file(text).images]
-    return sum(2 * sizes[i] * sizes[j] for i in range(len(sizes)) for j in range(i + 1, len(sizes)))
+def _relation_terms(text: str) -> int:
+    """The terms both products of every image pair form, counted pair by pair: image i by
+    image j forms, per term of image i, the Leibniz expansions of image j's terms."""
+    images = parse_endo_file(text).images
+    return sum(
+        len(images[i].terms) * leibniz_terms(images[j])
+        for i in range(len(images))
+        for j in range(len(images))
+        if i != j
+    )
 
 
 @pytest.mark.parametrize(
@@ -302,8 +316,11 @@ def _relation_pairs(text: str) -> int:
     ids=lambda argv: argv[-1],
 )
 def test_relation_check_budget_boundary(argv, monkeypatch, tmp_path, capsys):
-    count = _relation_pairs(_LINEAR_WEYL)
-    assert count == 2 * (3 * 2 + 3 + 3 + 2 + 2 + 1)
+    count = _relation_terms(_LINEAR_WEYL)
+    # each position letter Y3, Y4 expands to 2 terms, so the images count 5, 3, 2, 2 terms a left term:
+    # 59 terms, where the term pairs are 2 * (3 * 2 + 3 + 3 + 2 + 2 + 1) = 34
+    assert count == 3 * (3 + 2 + 2) + 2 * (5 + 2 + 2) + 1 * (5 + 3 + 2) + 1 * (5 + 3 + 2) == 59
+    assert relation_check_terms(parse_endo_file(_LINEAR_WEYL).images) == count
     f = _write(tmp_path, "linear.endo", _LINEAR_WEYL)
     monkeypatch.setattr(parsing, "TERM_PAIR_BUDGET", count)
     assert main([*argv, "--input", f]) == 0
@@ -316,20 +333,54 @@ def test_relation_check_budget_boundary(argv, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(WeylElement, "__mul__", no_product)
     assert main([*argv, "--input", f]) == 2
     assert capsys.readouterr().err == (
-        f"error: line 1, col 1: the relation check's {count} term pairs exceed the budget of {count - 1}\n"
+        f"error: line 1, col 1: the relation check forms up to {count} terms, past the budget of {count - 1}\n"
     )
 
 
-def test_relation_check_budget_spares_the_largest_identity_and_refuses_two_dense_images(tmp_path, capsys):
+def test_relation_check_budget_spares_the_largest_identity_and_refuses_two_dense_images(monkeypatch, tmp_path, capsys):
     assert parsing.TERM_PAIR_BUDGET == 100_000
-    # the 200-generator identity counts 200 * 199 pairs: test_generator_limit_boundary shows that it answers
-    assert _relation_pairs(_identity_file("weyl", 200)) == 39_800
-    # two images of 250 terms, each a letter plus powers 2..250 of the other: 2 * 250 * 250 pairs, no product formed
+    # the 200-generator identity counts 200 * 300 - 300 terms: test_generator_limit_boundary shows that it answers
+    assert _relation_terms(_identity_file("weyl", 200)) == 59_700
+    # two images of 250 terms, each a letter plus powers 2..250 of the other: Y2^k expands to k + 1 terms
     sums = [" + ".join(f"{letter}^{k}" for k in range(2, 251)) for letter in ("Y2", "Y1")]
     past = f"ring=F1009 kind=weyl n=1\nY1 -> Y1 + {sums[0]}\nY2 -> Y2 + {sums[1]}\n"
+    with monkeypatch.context() as patch:
+        patch.setattr(parsing, "TERM_PAIR_BUDGET", 10**9)
+        assert _relation_terms(past) == 250 * 251 + 250 * (1 + sum(k + 1 for k in range(2, 251))) == 7_968_750
     assert main(["check-weyl-endo", "--input", _write(tmp_path, "past.endo", past)]) == 2
     assert capsys.readouterr().err == (
-        "error: line 1, col 1: the relation check's 125000 term pairs exceed the budget of 100000\n"
+        "error: line 1, col 1: the relation check forms up to 7968750 terms, past the budget of 100000\n"
+    )
+
+
+def _dense_leibniz_file(ring: str, top: int) -> str:
+    """Two images, each its own letter plus 220 seeded words Y2^a*Y1^b with a, b <= top."""
+    r = random.Random(1)
+    words = lambda: " + ".join(f"Y2^{r.randint(0, top)}*Y1^{r.randint(0, top)}" for _ in range(220))
+    return f"ring={ring} kind=weyl n=1\nY1 -> Y1 + {words()}\nY2 -> Y2 + {words()}\n"
+
+
+@pytest.mark.parametrize("ring", ["F1009", "Q"])
+@pytest.mark.parametrize("top, pairs, terms", [(400, 97_682, 19_673_641), (60, 90_736, 2_958_588)])
+def test_a_relation_check_within_the_pairs_but_past_the_terms_exits_2_at_parse_time(
+    ring, top, pairs, terms, monkeypatch, tmp_path, capsys
+):
+    # at exponents <= 400 the relation check took about 30 s over F1009 and longer over Q when it counted pairs
+    text = _dense_leibniz_file(ring, top)
+    monkeypatch.setattr(parsing, "TERM_PAIR_BUDGET", 10**9)
+    images = parse_endo_file(text).images
+    sizes = [len(image.terms) for image in images]
+    assert sum(sizes) ** 2 - sum(s * s for s in sizes) == pairs <= 100_000
+    assert relation_check_terms(images) == _relation_terms(text) == terms
+    monkeypatch.setattr(parsing, "TERM_PAIR_BUDGET", 100_000)
+
+    def no_commutator(a, b):
+        raise AssertionError("a relation-check product was formed")
+
+    monkeypatch.setattr(weyl, "commutator", no_commutator)
+    assert main(["check-weyl-endo", "--input", _write(tmp_path, "dense.endo", text)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 1, col 1: the relation check forms up to {terms} terms, past the budget of 100000\n"
     )
 
 

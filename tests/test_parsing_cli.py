@@ -479,14 +479,14 @@ def test_cli_degree_cap_over_monomial_budget_exits_2(tmp_path, capsys):
 
 def test_cli_oversized_product_exits_2(tmp_path, capsys):
     # 40 bytes of input whose expansion has 80,601 terms: refused before the
-    # first product past the term-pair budget is formed, over Q and for Weyl words
+    # first product past the term budget is formed, over Q and for Weyl words
     f = write(tmp_path, "big.endo", "ring=Q kind=poly m=2\nX1 -> (X1 + X2 + 1)^400\nX2 -> X2\n")
     assert main(["check-instance", "--tag", "CJC", "--input", f]) == 2
     err = capsys.readouterr().err
-    assert "line 2" in err and "term pairs" in err
+    assert "line 2" in err and "terms, past the budget of 100000" in err
     w = write(tmp_path, "big-weyl.endo", "ring=Q kind=weyl n=1\nY1 -> Y1\nY2 -> Y2 + (Y1 + Y2 + 1)^400\n")
     assert main(["check-weyl-endo", "--input", w]) == 2
-    assert "term pairs" in capsys.readouterr().err
+    assert "terms, past the budget of 100000" in capsys.readouterr().err
 
 
 def test_term_pair_budget_checks_each_product(monkeypatch):
@@ -501,6 +501,22 @@ def test_term_pair_budget_checks_each_product(monkeypatch):
     assert parse_poly("(X1 + X2)^3", QQ, 2) == (x1 + x2) ** 3
     with pytest.raises(ParseError, match="a product of 3 by 3 terms"):
         parse_poly("(X1 + X2)^4", QQ, 2)
+
+
+def test_a_weyl_product_counts_the_terms_its_leibniz_expansions_form(monkeypatch):
+    import canonalg.parsing as parsing
+
+    algebra = WeylAlgebra(QQ, 1)
+    d, x = algebra.generators()
+    variables, one = {"Y1": d, "Y2": x}, algebra.one()
+    # 2 by 1 terms is 2 pairs, but d * x^5 = x^5 d + 5 x^4 and d^2 * x^5 has 3 terms: 2 * 6 = 12 at most
+    monkeypatch.setattr(parsing, "TERM_PAIR_BUDGET", 11)
+    with pytest.raises(ParseError, match="^a product of 2 by 1 terms forms up to 12 terms, past the budget of 11$"):
+        parsing._evaluate("(Y1 + Y1^2) * Y2^5", 0, variables, one)
+    # the other way round no term lowers a letter: 1 by 2 terms form 2
+    assert parsing._evaluate("Y2^5 * (Y1 + Y1^2)", 0, variables, one) == x**5 * (d + d**2)
+    monkeypatch.setattr(parsing, "TERM_PAIR_BUDGET", 12)
+    assert parsing._evaluate("(Y1 + Y1^2) * Y2^5", 0, variables, one) == (d + d**2) * x**5
 
 
 def test_large_exponents_of_small_operands_stay_accepted():
