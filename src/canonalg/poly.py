@@ -467,6 +467,14 @@ def _reduced(sums: dict, p: int) -> dict:
     return {k: c for k, c in sums.items() if c}
 
 
+def _degree(images: Sequence) -> int:
+    """Max total degree over the nonzero images; rejects the zero map."""
+    degs = [im.degree() for im in images if not im.is_zero()]
+    if not degs:
+        raise ValueError("degree of the all-zero endomorphism is undefined")
+    return max(degs)
+
+
 class Endo:
     """Algebra endomorphism given by ``images``, one per generator in order.
 
@@ -485,11 +493,7 @@ class Endo:
     __slots__ = ()
 
     def degree(self) -> int:
-        """Max total degree over the nonzero images; rejects the zero map."""
-        degs = [im.degree() for im in self.images if not im.is_zero()]
-        if not degs:
-            raise ValueError("degree of the all-zero endomorphism is undefined")
-        return max(degs)
+        return _degree(self.images)
 
     def is_identity(self) -> bool:
         """Every image is its generator; public API, the benchmark's inverse check."""
@@ -642,14 +646,17 @@ def compose_random_steps(endo: Endo, rng: random.Random, steps: int, max_degree:
     """``steps`` elementary maps composed after ``endo``, each made by the
     function in ``draws`` under a kind chosen with ``rng``.  A step that would
     push the degree past max_degree is skipped; at most 8 * steps + 8 are drawn.
+    A step's images of ``endo``'s images are formed and their degree tested
+    first; the composite (for a Weyl map, its relation check) is built only
+    for a kept step.
     """
     kinds = tuple(draws)
     done = attempts = 0
     while done < steps and attempts < 8 * steps + 8:
         attempts += 1
-        candidate = draws[rng.choice(kinds)]().compose(endo)
-        if max_degree is None or candidate.degree() <= max_degree:
-            endo = candidate
+        images = draws[rng.choice(kinds)]().apply_each(endo.images)
+        if max_degree is None or _degree(images) <= max_degree:
+            endo = type(endo)(*endo._space(), images)
             done += 1
     return endo
 

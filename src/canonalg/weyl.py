@@ -270,7 +270,9 @@ class WeylEndo(Endo):
         self.images = tuple(images)
 
     @classmethod
+    @lru_cache(maxsize=64)
     def identity(cls, algebra: WeylAlgebra) -> "WeylEndo":
+        """The identity, built and relation-verified once per algebra."""
         return cls(algebra, algebra.generators())
 
     @property
@@ -326,13 +328,17 @@ def quantized(algebra: WeylAlgebra, endo: PolyEndo) -> WeylEndo:
 # -- elementary automorphisms and test families ------------------------------------
 
 
+@lru_cache(maxsize=256)
 def pair_swap(algebra: WeylAlgebra, i: int) -> WeylEndo:
-    """Y_i -> Y_{i+n}, Y_{i+n} -> -Y_i on one pair."""
+    """Y_i -> Y_{i+n}, Y_{i+n} -> -Y_i on one pair; built and relation-verified
+    once for its arguments."""
     return quantized(algebra, poisson.pair_swap(algebra, i))
 
 
+@lru_cache(maxsize=1024)
 def pair_scaling(algebra: WeylAlgebra, i: int, unit) -> WeylEndo:
-    """Y_i -> u Y_i, Y_{i+n} -> u^{-1} Y_{i+n} for a unit u."""
+    """Y_i -> u Y_i, Y_{i+n} -> u^{-1} Y_{i+n} for a unit u; built and
+    relation-verified once for its arguments."""
     return quantized(algebra, poisson.pair_scaling(algebra, i, unit))
 
 
@@ -341,9 +347,12 @@ def generate_weyl_automorphism(
 ) -> WeylEndo:
     """Deterministic composition of shears, swaps and unit scalings.
 
-    Every elementary factor is relation-verified on construction, and so is
-    each partial composition; a step that would push the degree past
-    max_degree is skipped.
+    Every elementary factor is relation-verified on construction: a shear
+    each time it is drawn, the identity, a pair swap and a pair scaling once
+    for their arguments, when first built.  Each kept partial composition is
+    verified too; a step that would push the degree past max_degree is
+    skipped, and its composite is never built (see
+    :func:`canonalg.poly.compose_random_steps`).
     """
     rng = random.Random(seed)
     ring, n = algebra.ring, algebra.n

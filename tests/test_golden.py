@@ -10,12 +10,15 @@ After an intended change of output, regenerate them with
 
 and review the diff.  ``summary.txt`` holds what ``main()`` prints for each
 case, in sorted order, each case's lines after a ``# <case>`` line.
+``GENERATED_MAPS_DIGEST`` pins the endo file texts of the generated maps;
+its test's failure message shows the new digest.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -26,10 +29,13 @@ import pytest
 
 from canonalg import cli
 from canonalg.cli import main
+from canonalg.parsing import EndoFile, print_endo_file
 from canonalg.poisson import PoissonContext, generate_symplectomorphism
 from canonalg.report import validate_report
 from canonalg.rings import GF, QQ
 from canonalg.weyl import WeylAlgebra, generate_central_perturbation, generate_weyl_automorphism
+
+from util import weyl_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,6 +106,23 @@ def generator_lines() -> list[str]:
                     endo = generate_central_perturbation(WeylAlgebra(ring, n), seed)
                     lines.append(f"generate_central_perturbation {ring} n={n} seed={seed}: {endo!r}")
     return lines
+
+
+# sha256 of the endo file texts of :func:`generated_map_texts`, in order
+GENERATED_MAPS_DIGEST = "028d875106bdf571fc0e6c33cc8066d07ac0a120d9a2fd78ce26d11219f2f6b8"
+
+
+def generated_map_texts() -> list[str]:
+    """The endo file text of every map of the acceptance corpus (117 Weyl
+    maps), then of a seeded panel of symplectomorphisms over Q, F3 and F5."""
+    texts = [print_endo_file(EndoFile(e.ring, "weyl", e.algebra.n, e.algebra.nvars, e.images)) for e in weyl_corpus()]
+    for ring in (QQ, GF(3), GF(5)):
+        for n in (1, 2):
+            ctx = PoissonContext(ring, n)
+            for seed in range(2000 + 10 * n, 2008 + 10 * n):
+                endo = generate_symplectomorphism(ctx, seed, steps=5, max_degree=4)
+                texts.append(print_endo_file(EndoFile(ring, "poisson", n, ctx.nvars, endo.images)))
+    return texts
 
 
 def summary_text() -> str:
@@ -250,6 +273,15 @@ def test_summary_lines_match_golden():
 def test_generators_match_golden():
     text = "\n".join(generator_lines()) + "\n"
     assert text == (GOLDEN / "generators.txt").read_text(encoding="utf-8")
+
+
+def test_generated_maps_match_their_digest():
+    """Each seed keeps its map: a change to map generation that moves any of
+    these maps changes the digest."""
+    texts = generated_map_texts()
+    assert len(texts) == 117 + 48
+    digest = hashlib.sha256("".join(texts).encode("utf-8")).hexdigest()
+    assert digest == GENERATED_MAPS_DIGEST, digest
 
 
 if __name__ == "__main__":

@@ -475,3 +475,16 @@ def test_a_restriction_over_the_budget_exits_2_and_one_within_it_answers(argv, t
     past = _write(tmp_path, "past.endo", "ring=F1009 kind=weyl n=1\nY1 -> Y1 + Y2^500\nY2 -> Y2\n")
     assert main([*argv, "--input", past]) == 2
     assert capsys.readouterr().err == "error: the center restriction over F1009 exceeds the budget of 4500000 terms\n"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("command", ["reduce", "probe-chain"])
+def test_the_identity_over_a_large_prime_is_read_off_within_the_budget(command, n, tmp_path, capsys):
+    # p products per generator would form 2 million terms for n = 1 and pass the budget for n = 2
+    text = f"ring=F1000003 kind=weyl n={n}\n" + "".join(f"Y{i} -> Y{i}\n" for i in range(1, 2 * n + 1))
+    report = tmp_path / "report.json"
+    assert main([command, "--input", _write(tmp_path, "identity.endo", text), "--json", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "reduce":
+        payload = json.loads(report.read_text(encoding="utf-8"))["payload"]
+        assert payload["center_images"] == [f"X{i}" for i in range(1, 2 * n + 1)]

@@ -3,11 +3,19 @@ import random
 import pytest
 
 from canonalg.poisson import PoissonContext, is_symplectic
-from canonalg.poly import Poly, PolyEndo
-from canonalg.reduction import check_center_symplectic, induced_center_endo
+from canonalg.poly import Poly, PolyEndo, _Images
+from canonalg.reduction import central_tail, check_center_symplectic, induced_center_endo
 from canonalg.rings import GF, QQ
-from canonalg.weyl import WeylAlgebra, WeylEndo, generate_weyl_automorphism, inverse_search
+from canonalg.weyl import (
+    WeylAlgebra,
+    WeylEndo,
+    generate_central_perturbation,
+    generate_weyl_automorphism,
+    inverse_search,
+    pair_swap,
+)
 
+from test_search import central_tail_maps
 from util import weyl_corpus
 
 
@@ -100,3 +108,58 @@ def test_reduction_of_inverse_is_inverse_of_reduction():
     ident = PolyEndo.identity(GF(5), 2)
     assert down.compose(down_inv) == ident
     assert down_inv.compose(down) == ident
+
+
+# -- the read-off on central-tail maps ------------------------------------------------------
+
+
+def center_oracle(endo: WeylEndo) -> PolyEndo:
+    """The restriction from the definition, on element powers: each exponent
+    of sigma(Y_i)^p divided by p, derivations first (X_1..X_n are Y_1^p..Y_n^p)."""
+    p, m = endo.ring.p, endo.algebra.nvars
+    images = []
+    for image in endo.images:
+        power = image**p
+        assert all(e % p == 0 for g, d in power.terms for e in g + d)
+        images.append(Poly(endo.ring, m, {tuple(e // p for e in d + g): c for (g, d), c in power.terms.items()}))
+    return PolyEndo(endo.ring, m, images)
+
+
+def _count_products(monkeypatch) -> list:
+    calls = []
+    times = _Images._times
+    monkeypatch.setattr(_Images, "_times", lambda self, *args: calls.append(1) or times(self, *args))
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_central_tail_maps_are_read_off_without_products(p, n, monkeypatch):
+    # seeded perturbations Y_i -> Y_i + (central), and over F3..F7 each after a scaling of every pair
+    maps = central_tail_maps(p, n, 4)
+    want = [center_oracle(endo) for endo in maps]
+    products = _count_products(monkeypatch)
+    for endo, expected in zip(maps, want):
+        assert central_tail(endo), repr(endo)
+        assert induced_center_endo(endo).endo == expected, repr(endo)
+    assert not products
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_maps_without_a_central_tail_take_the_products(p, monkeypatch):
+    algebra = WeylAlgebra(GF(p), 2)
+    y1 = algebra.generator(1)
+    pert = generate_central_perturbation(algebra, 7)
+    assert central_tail(pert)
+    p1, p2, p3, p4 = pert.images
+    maps = [
+        WeylEndo(algebra, [p1, p2, p3 + y1 * y1, p4]),  # one non-central tail term, Y1^2
+        pair_swap(algebra, 1),  # Y1 -> Y3: a linear image, not of its own generator
+    ]
+    want = [center_oracle(endo) for endo in maps]
+    products = _count_products(monkeypatch)
+    for endo, expected in zip(maps, want):
+        assert not central_tail(endo), repr(endo)
+        products.clear()
+        assert induced_center_endo(endo).endo == expected, repr(endo)
+        assert len(products) == p * algebra.nvars

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from canonalg.poisson import PoissonContext, coordinate_shear, momentum_shear
-from canonalg.poly import Poly
+from canonalg.poisson import PoissonContext, coordinate_shear, generate_symplectomorphism, momentum_shear
+from canonalg.poly import Endo, Poly, PolyEndo
 from canonalg.rings import GF, QQ, ZZ
 from canonalg.weyl import (
     RelationError,
@@ -18,6 +18,7 @@ from canonalg.weyl import (
     inverse_degree_bound,
     inverse_search,
     is_central,
+    pair_scaling,
     pair_swap,
     quantized,
     verify_endo_relations,
@@ -320,3 +321,56 @@ def test_weyl_coefficients_are_normalized_on_construction():
     assert A.const(5).is_zero()
     assert WeylElement(A, {((1,), (0,)): 10}).is_zero()
     assert (A.generator(1) * A.const(7)).to_text() == "2*Y1"
+
+
+# -- maps built once, and steps tested before they are built ------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), QQ], ids=str)
+def test_the_identity_and_pair_maps_are_built_once_and_equal_fresh_ones(ring, n):
+    algebra = WeylAlgebra(ring, n)
+    gens = algebra.generators()
+    assert WeylEndo.identity(algebra) == WeylEndo(algebra, gens)
+    assert WeylEndo.identity(WeylAlgebra(ring, n)) is WeylEndo.identity(algebra)
+    units = {ring.of_int(k) for k in (1, 2, 3, -1)} - {ring.zero()}
+    for i in range(1, n + 1):
+        swapped = list(gens)
+        swapped[i - 1], swapped[i + n - 1] = gens[i + n - 1], -gens[i - 1]
+        assert pair_swap(algebra, i) == WeylEndo(algebra, swapped)
+        assert pair_swap(algebra, i) is pair_swap(algebra, i)
+        for u in units:
+            scaled = list(gens)
+            scaled[i - 1], scaled[i + n - 1] = gens[i - 1].scale(u), gens[i + n - 1].scale(ring.inv(u))
+            assert pair_scaling(algebra, i, u) == WeylEndo(algebra, scaled)
+            assert pair_scaling(algebra, i, u) is pair_scaling(algebra, i, u)
+
+
+@pytest.mark.parametrize("kind", ["weyl", "poisson"])
+def test_a_step_past_the_degree_bound_builds_no_candidate(kind, monkeypatch):
+    """Every map built while generating is a kept composite or an
+    elementary factor, all of degree <= 3 here; steps of higher degree are
+    formed as images, tested and dropped without a map being built."""
+    cls = WeylEndo if kind == "weyl" else PolyEndo
+    init, apply_each = cls.__init__, Endo.apply_each
+    built, formed = [], []
+
+    def counted_init(self, *args):
+        init(self, *args)
+        built.append(self.degree())
+
+    def recorded_apply_each(self, elems):
+        images = apply_each(self, elems)
+        formed.append(max(im.degree() for im in images))
+        return images
+
+    monkeypatch.setattr(cls, "__init__", counted_init)
+    monkeypatch.setattr(Endo, "apply_each", recorded_apply_each)
+    for seed in range(10):
+        if kind == "weyl":
+            endo = generate_weyl_automorphism(WeylAlgebra(GF(3), 2), seed, steps=5, max_degree=3)
+        else:
+            endo = generate_symplectomorphism(PoissonContext(GF(3), 2), seed, steps=5, max_degree=3)
+        assert endo.degree() <= 3
+    assert built and max(built) <= 3
+    assert max(formed) > 3  # some steps were rejected
