@@ -182,7 +182,7 @@ def generate_symplectomorphism(
 
     Draws shears (both blocks), pair swaps and unit scalings from the seed;
     a step whose composition would exceed max_degree is skipped.  The result
-    is verified symplectic before being returned.
+    is built once and verified symplectic before being returned.
     """
     rng = random.Random(seed)
     n = ctx.n
@@ -192,7 +192,8 @@ def generate_symplectomorphism(
         "swap": lambda: pair_swap(ctx, rng.randint(1, n)),
         "scale": lambda: pair_scaling(ctx, rng.randint(1, n), random_unit(rng, ctx.ring, _UNITS_Q)),
     }
-    endo = compose_random_steps(PolyEndo.identity(ctx.ring, ctx.nvars), rng, steps, max_degree, draws)
+    images = compose_random_steps(PolyEndo.identity(ctx.ring, ctx.nvars).images, rng, steps, max_degree, draws)
+    endo = PolyEndo(ctx.ring, ctx.nvars, images)
     if not is_symplectic(ctx, endo):
         raise AssertionError("generator produced a non-symplectic map (internal bug)")
     return endo

@@ -642,23 +642,22 @@ class Endo:
         return f"{type(self).__name__}(" + ", ".join(im.to_text() for im in self.images) + ")"
 
 
-def compose_random_steps(endo: Endo, rng: random.Random, steps: int, max_degree: int | None, draws: dict) -> Endo:
-    """``steps`` elementary maps composed after ``endo``, each made by the
-    function in ``draws`` under a kind chosen with ``rng``.  A step that would
-    push the degree past max_degree is skipped; at most 8 * steps + 8 are drawn.
-    A step's images of ``endo``'s images are formed and their degree tested
-    first; the composite (for a Weyl map, its relation check) is built only
-    for a kept step.
+def compose_random_steps(images: Sequence, rng: random.Random, steps: int, max_degree: int | None, draws: dict) -> Sequence:
+    """The images of ``steps`` elementary maps composed after the map with
+    ``images``, each drawn from ``draws`` under a kind chosen with ``rng``.  A
+    step that would push the degree past max_degree is skipped; at most
+    8 * steps + 8 are drawn.  A kept step's images of the images so far are
+    the next images: no partial composite is built.
     """
     kinds = tuple(draws)
     done = attempts = 0
     while done < steps and attempts < 8 * steps + 8:
         attempts += 1
-        images = draws[rng.choice(kinds)]().apply_each(endo.images)
-        if max_degree is None or _degree(images) <= max_degree:
-            endo = type(endo)(*endo._space(), images)
+        stepped = draws[rng.choice(kinds)]().apply_each(images)
+        if max_degree is None or _degree(stepped) <= max_degree:
+            images = stepped
             done += 1
-    return endo
+    return images
 
 
 def random_unit(rng: random.Random, ring: Ring, rational_pool: Sequence[int]):

@@ -270,9 +270,8 @@ class WeylEndo(Endo):
         self.images = tuple(images)
 
     @classmethod
-    @lru_cache(maxsize=64)
     def identity(cls, algebra: WeylAlgebra) -> "WeylEndo":
-        """The identity, built and relation-verified once per algebra."""
+        """The identity, relation-verified."""
         return cls(algebra, algebra.generators())
 
     @property
@@ -348,11 +347,10 @@ def generate_weyl_automorphism(
     """Deterministic composition of shears, swaps and unit scalings.
 
     Every elementary factor is relation-verified on construction: a shear
-    each time it is drawn, the identity, a pair swap and a pair scaling once
-    for their arguments, when first built.  Each kept partial composition is
-    verified too; a step that would push the degree past max_degree is
-    skipped, and its composite is never built (see
-    :func:`canonalg.poly.compose_random_steps`).
+    each time it is drawn, a pair swap and a pair scaling once for their
+    arguments.  Steps past max_degree are skipped.  Only the result is built
+    and relation-verified (see :func:`canonalg.poly.compose_random_steps`):
+    each factor is injective, so that checks every partial composite too.
     """
     rng = random.Random(seed)
     ring, n = algebra.ring, algebra.n
@@ -371,7 +369,7 @@ def generate_weyl_automorphism(
         "swap": lambda: pair_swap(algebra, rng.randint(1, n)),
         "scale": scale,
     }
-    return compose_random_steps(WeylEndo.identity(algebra), rng, steps, max_degree, draws)
+    return WeylEndo(algebra, compose_random_steps(algebra.generators(), rng, steps, max_degree, draws))
 
 
 def central_monomial(algebra: WeylAlgebra, g: Iterable[int], d: Iterable[int]) -> WeylElement:

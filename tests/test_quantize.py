@@ -22,7 +22,7 @@ from canonalg.poisson import (
     is_symplectic,
     momentum_shear,
 )
-from canonalg.poly import Poly, PolyEndo, compose_random_steps, pairing_witness, random_block_poly, random_unit
+from canonalg.poly import Poly, PolyEndo, pairing_witness, random_block_poly, random_unit
 from canonalg.rings import GF, QQ
 from canonalg.weyl import (
     WeylAlgebra,
@@ -220,6 +220,9 @@ def _oracle_draw(rng: random.Random, ring, nvars: int, max_degree: int) -> Poly:
 
 
 def oracle_weyl_automorphism(A: WeylAlgebra, seed: int, steps: int, max_degree: int | None) -> WeylEndo:
+    """The family built map by map: each drawn step composed after the map so
+    far with :meth:`compose`, and the relation-verified composite kept when
+    its degree is within the bound."""
     rng = random.Random(seed)
     ring, n = A.ring, A.n
 
@@ -233,7 +236,14 @@ def oracle_weyl_automorphism(A: WeylAlgebra, seed: int, steps: int, max_degree: 
         "swap": lambda: WeylEndo(A, oracle_pair_swap(A, rng.randint(1, n))),
         "scale": scale,
     }
-    return compose_random_steps(WeylEndo.identity(A), rng, steps, max_degree, draws)
+    kinds, endo = tuple(draws), WeylEndo(A, oracle_generators(A))
+    done = attempts = 0
+    while done < steps and attempts < 8 * steps + 8:
+        attempts += 1
+        composite = draws[rng.choice(kinds)]().compose(endo)
+        if max_degree is None or composite.degree() <= max_degree:
+            endo, done = composite, done + 1
+    return endo
 
 
 @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(5), QQ], ids=str)

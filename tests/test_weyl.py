@@ -332,7 +332,6 @@ def test_the_identity_and_pair_maps_are_built_once_and_equal_fresh_ones(ring, n)
     algebra = WeylAlgebra(ring, n)
     gens = algebra.generators()
     assert WeylEndo.identity(algebra) == WeylEndo(algebra, gens)
-    assert WeylEndo.identity(WeylAlgebra(ring, n)) is WeylEndo.identity(algebra)
     units = {ring.of_int(k) for k in (1, 2, 3, -1)} - {ring.zero()}
     for i in range(1, n + 1):
         swapped = list(gens)
@@ -348,9 +347,10 @@ def test_the_identity_and_pair_maps_are_built_once_and_equal_fresh_ones(ring, n)
 
 @pytest.mark.parametrize("kind", ["weyl", "poisson"])
 def test_a_step_past_the_degree_bound_builds_no_candidate(kind, monkeypatch):
-    """Every map built while generating is a kept composite or an
-    elementary factor, all of degree <= 3 here; steps of higher degree are
-    formed as images, tested and dropped without a map being built."""
+    """Every map built while generating is the result or an elementary
+    factor (on the Poisson side also an identity), all of degree <= 3 here;
+    steps of higher degree are formed as images, tested and dropped without
+    a map being built."""
     cls = WeylEndo if kind == "weyl" else PolyEndo
     init, apply_each = cls.__init__, Endo.apply_each
     built, formed = [], []
@@ -374,3 +374,30 @@ def test_a_step_past_the_degree_bound_builds_no_candidate(kind, monkeypatch):
         assert endo.degree() <= 3
     assert built and max(built) <= 3
     assert max(formed) > 3  # some steps were rejected
+
+
+def test_generating_a_weyl_map_builds_its_drawn_steps_and_the_result_only(monkeypatch):
+    """One map is built that is no drawn step: the returned one.  Its
+    relation check stands for every partial composite, which is never built
+    (nor is an identity to start from)."""
+    init, apply_each = WeylEndo.__init__, Endo.apply_each
+    built, stepped = [], []
+
+    def counted_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def recorded_apply_each(self, elems):
+        stepped.append(self)
+        return apply_each(self, elems)
+
+    monkeypatch.setattr(WeylEndo, "__init__", counted_init)
+    monkeypatch.setattr(Endo, "apply_each", recorded_apply_each)
+    algebra = WeylAlgebra(GF(3), 2)
+    for seed in range(10):
+        built.clear()
+        stepped.clear()
+        endo = generate_weyl_automorphism(algebra, seed, steps=5, max_degree=3)
+        assert built[-1] is endo and all(step is not endo for step in stepped)
+        not_drawn = [m for m in built[:-1] if all(m is not step for step in stepped)]
+        assert not not_drawn, f"seed {seed}: {len(not_drawn)} maps built that are neither a step nor the result"

@@ -155,21 +155,25 @@ def weyl_mul_oracle(a: WeylElement, b: WeylElement) -> WeylElement:
 def weyl_corpus() -> list[WeylEndo]:
     """At least 100 relation-verified endomorphisms over F2/F3/F5, n <= 2:
     generated automorphisms, central perturbations, and mixed compositions."""
+    return [endo for _, endo in labelled_weyl_corpus()]
+
+
+def labelled_weyl_corpus() -> list[tuple[str, WeylEndo]]:
+    """:func:`weyl_corpus` with a label per map: family, ring, n and seed,
+    such as ``auto/F2/n=1/seed=210`` or ``comp/F2/n=1/seed=210+710``."""
     corpus = []
     for p in (2, 3, 5):
         for n in (1, 2):
             algebra = WeylAlgebra(GF(p), n)
             max_degree = 3 if n == 1 else 2
-            autos = [
-                generate_weyl_automorphism(algebra, seed=100 * p + 10 * n + s, steps=3, max_degree=max_degree)
-                for s in range(12)
-            ]
-            perts = [
-                generate_central_perturbation(algebra, seed=500 + 100 * p + 10 * n + s)
-                for s in range(6)
-            ]
-            corpus.extend(autos)
-            corpus.extend(perts)
+            auto_seeds = [100 * p + 10 * n + s for s in range(12)]
+            pert_seeds = [500 + 100 * p + 10 * n + s for s in range(6)]
+            autos = [generate_weyl_automorphism(algebra, seed, steps=3, max_degree=max_degree) for seed in auto_seeds]
+            perts = [generate_central_perturbation(algebra, seed) for seed in pert_seeds]
+            label = f"F{p}/n={n}/seed="
+            corpus.extend((f"auto/{label}{seed}", e) for seed, e in zip(auto_seeds, autos))
+            corpus.extend((f"pert/{label}{seed}", e) for seed, e in zip(pert_seeds, perts))
             if p == 2 or (p == 3 and n == 1):
-                corpus.extend(a.compose(b) for a, b in zip(autos[:3], perts[:3]))
+                pairs = zip(auto_seeds[:3], pert_seeds[:3], autos[:3], perts[:3])
+                corpus.extend((f"comp/{label}{s}+{t}", a.compose(b)) for s, t, a, b in pairs)
     return corpus
